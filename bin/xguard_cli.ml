@@ -34,7 +34,6 @@ module Trace = Xguard_trace.Trace
 module Coverage = Xguard_trace.Coverage
 module Pool = Xguard_parallel.Pool
 module Campaign = Xguard_harness.Campaign
-module Pdes = Xguard_harness.Pdes
 module Network = Xguard_network.Network
 module Spans = Xguard_obs.Spans
 module Perfetto = Xguard_obs.Perfetto
@@ -175,7 +174,7 @@ let metrics_term =
              ~doc:"Stream periodic telemetry samples (counter deltas, gauges, \
                    span quantiles, per-guard latency histograms, availability) \
                    as xguard-metrics-v1 JSONL to $(docv).  Byte-identical for \
-                   any $(b,-j) / $(b,--sim-j).  Arms the span layer.")
+                   any $(b,-j).  Arms the span layer.")
   in
   let prom =
     Arg.(value & opt (some string) None
@@ -294,35 +293,6 @@ let jobs_arg =
            ~doc:"Fan independent runs out over $(docv) worker domains (1 = serial). \
                  Results are merged in job order, so output is byte-identical for \
                  any $(docv).")
-
-(* ---- intra-run parallel simulation (run/stress/bench) ---- *)
-
-let sim_j_arg =
-  Arg.(value & opt (some int) None
-       & info [ "sim-j" ] ~docv:"N"
-           ~doc:"Shard $(i,one) run across $(docv) worker domains: conservative \
-                 parallel discrete-event simulation along the guard links. \
-                 Output is byte-identical for every $(docv) >= 1.  Composes \
-                 with $(b,-j): each of the $(b,-j) seed jobs runs its own \
-                 simulation on $(docv) workers.  Requires a guard topology \
-                 with ordered, fault-free links (no $(b,--drop)/$(b,--recover)/\
-                 jitter).")
-
-(* Validate --sim-j against the final config (fault/recovery flags applied),
-   so ineligible combinations fail with a reason instead of mid-run. *)
-let check_sim_j ~sim_j cfg =
-  match sim_j with
-  | None -> None
-  | Some j ->
-      if j < 1 then begin
-        Printf.eprintf "--sim-j must be >= 1\n";
-        exit 1
-      end;
-      (match Pdes.check_config cfg with
-      | Ok () -> Some j
-      | Error e ->
-          Printf.eprintf "--sim-j: %s\n" e;
-          exit 1)
 
 (* ---- lossy-link fault injection (stress/fuzz/campaign) ---- *)
 
@@ -472,14 +442,13 @@ let run_cmd =
     let doc = "Workload: streaming, blocked, graph, write-coalesce, producer-consumer." in
     Arg.(value & opt string "blocked" & info [ "w"; "workload" ] ~docv:"WORKLOAD" ~doc)
   in
-  let action config topology workload seed sim_j trace trace_out spans spans_out mopts =
+  let action config topology workload seed trace trace_out spans spans_out mopts =
     with_system_config ~topology config seed (fun cfg ->
         match find_workload workload with
         | None ->
             Printf.eprintf "unknown workload %S\n" workload;
             exit 1
         | Some w ->
-            let sim_j = check_sim_j ~sim_j cfg in
             let tr = make_trace ~trace ~trace_out in
             (* Metrics always ride an armed span recorder (quantile sampling
                reads it); the span tables stay opt-in via --spans. *)
@@ -497,7 +466,7 @@ let run_cmd =
                   match mrec with None -> f () | Some m -> Metrics.with_armed m f)
             in
             (try
-               let r = with_obs (fun () -> Perf.run ?trace:tr ?sim_j cfg w) in
+               let r = with_obs (fun () -> Perf.run ?trace:tr cfg w) in
                Printf.printf "configuration      %s\n" r.Perf.config_name;
                Printf.printf "workload           %s (%s)\n" w.W.name w.W.description;
                Printf.printf "cycles             %d\n" r.Perf.cycles;
@@ -533,7 +502,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a workload on one configuration")
-    Term.(const action $ config_arg $ topology_arg $ workload_arg $ seed_arg $ sim_j_arg
+    Term.(const action $ config_arg $ topology_arg $ workload_arg $ seed_arg
           $ trace_flag $ trace_out_arg $ spans_flag $ spans_out_arg $ metrics_term)
 
 (* ---- stress ---- *)
@@ -545,7 +514,7 @@ let stress_cmd =
   let seeds_arg =
     Arg.(value & opt int 5 & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeds to sweep.")
   in
-  let action config topology seed ops seeds jobs sim_j trace trace_out coverage spans
+  let action config topology seed ops seeds jobs trace trace_out coverage spans
       spans_out mopts drop dup corrupt delay scripts reliable recover lives breq binv
       bfetch =
     with_system_config ~topology config seed (fun base ->
@@ -553,7 +522,6 @@ let stress_cmd =
           apply_link_faults ~drop ~dup ~corrupt ~delay ~scripts ~reliable base
         in
         let base = apply_recovery ~recover ~lives ~breq ~binv ~bfetch base in
-        let sim_j = check_sim_j ~sim_j base in
         let tr = make_trace ~trace ~trace_out in
         check_trace_jobs ~jobs tr;
         (* Each seed is one pool job producing its report line, optional
@@ -574,24 +542,15 @@ let stress_cmd =
                 else None
               in
               let run_body () =
-                match sim_j with
-                | Some j ->
-                    (* One tester per domain over disjoint address slices —
-                       comparable across any --sim-j value, not with the
-                       shared-address sequential tester above. *)
-                    Option.iter Trace.clear tr;
-                    maybe_armed tr (fun () ->
-                        Pdes.run_stress ~workers:j ~seed:s ~ops_per_core:ops cfg)
-                | None ->
-                    let sys = System.build cfg in
-                    let ports = Array.append sys.System.cpu_ports sys.System.accel_ports in
-                    Option.iter Trace.clear tr;
-                    let o =
-                      maybe_armed tr (fun () ->
-                          Tester.run ~engine:sys.System.engine ~rng:(Rng.create ~seed:(s * 7 + 1))
-                            ~ports ~addresses:(Array.init 6 Addr.block) ~ops_per_core:ops ())
-                    in
-                    (sys, o)
+                let sys = System.build cfg in
+                let ports = Array.append sys.System.cpu_ports sys.System.accel_ports in
+                Option.iter Trace.clear tr;
+                let o =
+                  maybe_armed tr (fun () ->
+                      Tester.run ~engine:sys.System.engine ~rng:(Rng.create ~seed:(s * 7 + 1))
+                        ~ports ~addresses:(Array.init 6 Addr.block) ~ops_per_core:ops ())
+                in
+                (sys, o)
               in
               let sys, o =
                 with_spans rec_ (fun () ->
@@ -719,7 +678,7 @@ let stress_cmd =
   Cmd.v
     (Cmd.info "stress" ~doc:"Random coherence stress test (paper section 4.1)")
     Term.(const action $ config_arg $ topology_arg $ seed_arg $ ops_arg $ seeds_arg
-          $ jobs_arg $ sim_j_arg $ trace_flag $ trace_out_arg $ coverage_flag $ spans_flag
+          $ jobs_arg $ trace_flag $ trace_out_arg $ coverage_flag $ spans_flag
           $ spans_out_arg $ metrics_term $ fault_drop_arg $ fault_dup_arg
           $ fault_corrupt_arg $ fault_delay_arg $ fault_script_arg $ reliable_link_flag
           $ recover_flag $ recover_lives_arg $ budget_req_arg $ budget_inv_arg

@@ -48,8 +48,8 @@ val merge : outcome -> outcome -> outcome
 type t
 (** An armed tester: sequencers created and injection events scheduled on its
     engine, checker state live, but the engine not yet run.  The split lets
-    the sharded simulator ({!Pdes}) arm one tester per domain and drive all
-    the engines itself with the window coordinator. *)
+    a caller time (or otherwise wrap) the engine run separately from setup
+    and verdict. *)
 
 val prepare :
   engine:Xguard_sim.Engine.t ->

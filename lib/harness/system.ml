@@ -35,10 +35,6 @@ type t = {
   cpu_ports : Access.port array;
   accel_ports : Access.port array;
   guards : guard array;
-  (* Sharded parallel simulator (lib/harness/pdes.ml): [||] for a sequential
-     build; else [.(0)] is the host engine (= [engine]) and [.(g + 1)] the
-     engine guard [g]'s accelerator stack schedules on. *)
-  shard_engines : Engine.t array;
   xg_core : Xg.Xg_core.t option;
   accel_link : Xg.Xg_iface.Link.t option;
   xg_node_on_link : Node.t option;
@@ -271,13 +267,8 @@ type accel_shape =
    legacy guard ([id = ""]) is byte-identical to the pre-topology builder;
    [fault_seed] must differ per guard so per-link fault draws are
    independent. *)
-let build_guard (cfg : Config.t) ~engine ~accel_engine ~rng ~registry ~perms ~os ~host_port
-    ~attach_core ~id ~mode ~ordering ~shape ~faults ~fault_scripts ~fault_seed ~perm_gauge =
-  (* The accelerator hierarchy (L1s, L2, internal link) schedules on
-     [accel_engine]; everything host-side (guard core, timers, host port)
-     stays on [engine].  They are the same engine except under the sharded
-     parallel simulator, where each guard's stack is its own domain. *)
-  let accel_engine = match accel_engine with Some e -> e | None -> engine in
+let build_guard (cfg : Config.t) ~engine ~rng ~registry ~perms ~os ~host_port ~attach_core
+    ~id ~mode ~ordering ~shape ~faults ~fault_scripts ~fault_seed ~perm_gauge =
   let link =
     Xg.Xg_iface.Link.create ~engine ~rng:(Rng.split rng) ~name:(sfx id "xg.link")
       ~ordering ()
@@ -345,15 +336,15 @@ let build_guard (cfg : Config.t) ~engine ~accel_engine ~rng ~registry ~perms ~os
     | One_level { sets; ways } ->
         let lower = A.Lower_port.on_link link ~self:accel_link_node ~peer:xg_link_node in
         let l1 =
-          A.L1_simple.create ~engine:accel_engine ~name:(sfx id "accel.l1")
-            ~flavor:A.L1_simple.Mesi ~sets ~ways ~lower ()
+          A.L1_simple.create ~engine ~name:(sfx id "accel.l1") ~flavor:A.L1_simple.Mesi
+            ~sets ~ways ~lower ()
         in
         Xg.Xg_iface.Link.register link accel_link_node (fun ~src:_ msg ->
             A.L1_simple.deliver l1 msg);
         ([| A.L1_simple.cpu_port l1 |], [| l1 |], None, None)
     | Two_level { cores; l1_sets; l1_ways; l2_sets; l2_ways } ->
         let internal =
-          Xg.Xg_iface.Link.create ~engine:accel_engine ~rng:(Rng.split rng)
+          Xg.Xg_iface.Link.create ~engine ~rng:(Rng.split rng)
             ~name:(sfx id "accel.internal")
             ~ordering:(Xguard_network.Network.Ordered { latency = 2 })
             ()
@@ -362,8 +353,8 @@ let build_guard (cfg : Config.t) ~engine ~accel_engine ~rng ~registry ~perms ~os
         let l2_node = Node.Registry.fresh registry (sfx id "accel.l2") in
         let lower = A.Lower_port.on_link link ~self:accel_link_node ~peer:xg_link_node in
         let l2 =
-          A.L2_shared.create ~engine:accel_engine ~name:(sfx id "accel.l2") ~internal
-            ~node:l2_node ~lower ~sets:l2_sets ~ways:l2_ways ()
+          A.L2_shared.create ~engine ~name:(sfx id "accel.l2") ~internal ~node:l2_node
+            ~lower ~sets:l2_sets ~ways:l2_ways ()
         in
         Xg.Xg_iface.Link.register link accel_link_node (fun ~src:_ msg ->
             A.L2_shared.deliver_from_below l2 msg);
@@ -373,8 +364,8 @@ let build_guard (cfg : Config.t) ~engine ~accel_engine ~rng ~registry ~perms ~os
               let node = Node.Registry.fresh registry name in
               let lower = A.Lower_port.on_link internal ~self:node ~peer:l2_node in
               let l1 =
-                A.L1_simple.create ~engine:accel_engine ~name ~flavor:A.L1_simple.Mesi
-                  ~sets:l1_sets ~ways:l1_ways ~lower ()
+                A.L1_simple.create ~engine ~name ~flavor:A.L1_simple.Mesi ~sets:l1_sets
+                  ~ways:l1_ways ~lower ()
               in
               Xg.Xg_iface.Link.register internal node (fun ~src:_ msg ->
                   A.L1_simple.deliver l1 msg);
@@ -409,8 +400,8 @@ let xg_mode = function
 
 (* The legacy single-guard parameters, exactly as the pre-topology builder
    computed them. *)
-let legacy_guard (cfg : Config.t) ~engine ~accel_engine ~rng ~registry ~perms ~os
-    ~host_port ~attach_core ~attach_accel =
+let legacy_guard (cfg : Config.t) ~engine ~rng ~registry ~perms ~os ~host_port ~attach_core
+    ~attach_accel =
   let variant =
     match cfg.Config.org with
     | Config.Xg_one_level v | Config.Xg_two_level v -> v
@@ -441,8 +432,8 @@ let legacy_guard (cfg : Config.t) ~engine ~accel_engine ~rng ~registry ~perms ~o
             }
       | Config.Accel_side | Config.Host_side -> assert false
   in
-  build_guard cfg ~engine ~accel_engine ~rng ~registry ~perms ~os ~host_port ~attach_core
-    ~id:"" ~mode:(xg_mode variant) ~ordering ~shape ~faults:cfg.Config.link_faults
+  build_guard cfg ~engine ~rng ~registry ~perms ~os ~host_port ~attach_core ~id:""
+    ~mode:(xg_mode variant) ~ordering ~shape ~faults:cfg.Config.link_faults
     ~fault_scripts:cfg.Config.link_fault_scripts
     ~fault_seed:((cfg.Config.seed * 1000003) + 77)
     ~perm_gauge:true
@@ -479,8 +470,8 @@ let spec_shape (cfg : Config.t) ~attach (spec : Topology.accel_spec) =
        every new block crosses the link and nothing stays resident. *)
     One_level { sets = 1; ways = 1 }
 
-let spec_guard (cfg : Config.t) ~engine ~accel_engine ~rng ~registry ~perms ~os ~host_port
-    ~attach_core ~attach ~index (spec : Topology.accel_spec) =
+let spec_guard (cfg : Config.t) ~engine ~rng ~registry ~perms ~os ~host_port ~attach_core
+    ~attach ~index (spec : Topology.accel_spec) =
   let faults =
     match spec.Topology.faults with Some f -> Some f | None -> cfg.Config.link_faults
   in
@@ -489,7 +480,7 @@ let spec_guard (cfg : Config.t) ~engine ~accel_engine ~rng ~registry ~perms ~os 
      isolation: quarantining a guard revokes every grant in *its* table, and
      a shared table would revoke the neighbors' pages too. *)
   let perms = if index = 0 then perms else Xg.Perm_table.create () in
-  build_guard cfg ~engine ~accel_engine ~rng ~registry ~perms ~os ~host_port ~attach_core
+  build_guard cfg ~engine ~rng ~registry ~perms ~os ~host_port ~attach_core
     ~id:spec.Topology.id
     ~mode:(xg_mode spec.Topology.variant)
     ~ordering:(spec_ordering spec)
@@ -499,7 +490,7 @@ let spec_guard (cfg : Config.t) ~engine ~accel_engine ~rng ~registry ~perms ~os 
     ~fault_seed:((cfg.Config.seed * 1000003) + 77 + (131 * index))
     ~perm_gauge:(index = 0)
 
-let build_hammer ~attach_accel ?shard (cfg : Config.t) =
+let build_hammer ~attach_accel (cfg : Config.t) =
   let ordering =
     Xguard_network.Network.Unordered
       { min_latency = cfg.Config.host_net_min; max_latency = cfg.Config.host_net_max }
@@ -527,18 +518,6 @@ let build_hammer ~attach_accel ?shard (cfg : Config.t) =
   let finish ~plain_ports ~(guards : (guard * H.Xg_port.t) list) () =
     Hammer_system.finalize sys;
     let gonly = List.map fst guards in
-    let shard_engines =
-      match shard with
-      | None -> [||]
-      | Some accel_engines ->
-          let engines = Array.append [| engine |] accel_engines in
-          let dom_of = Array.make (Node.Registry.count registry) 0 in
-          List.iteri (fun i g -> dom_of.(Node.id g.g_accel_node) <- i + 1) gonly;
-          List.iter
-            (fun g -> Xg.Xg_iface.Link.set_partition g.g_link ~dom_of ~engines)
-            gonly;
-          engines
-    in
     let g0 = match gonly with g :: _ -> Some g | [] -> None in
     let accel_ports =
       match gonly with
@@ -815,7 +794,6 @@ let build_hammer ~attach_accel ?shard (cfg : Config.t) =
       cpu_ports = Hammer_system.cpu_ports sys;
       accel_ports;
       guards = Array.of_list gonly;
-      shard_engines;
       xg_core = Option.map (fun g -> g.g_core) g0;
       accel_link = Option.map (fun g -> g.g_link) g0;
       xg_node_on_link = Option.map (fun g -> g.g_xg_node) g0;
@@ -892,9 +870,7 @@ let build_hammer ~attach_accel ?shard (cfg : Config.t) =
           (fun i (spec : Topology.accel_spec) ->
             let p = make_xg_port (sfx spec.Topology.id "xg.port") in
             let g =
-              spec_guard cfg ~engine
-                ~accel_engine:(Option.map (fun a -> a.(i)) shard)
-                ~rng ~registry ~perms ~os
+              spec_guard cfg ~engine ~rng ~registry ~perms ~os
                 ~host_port:(H.Xg_port.host_port p)
                 ~attach_core:(H.Xg_port.attach_core p)
                 ~attach:(attach_accel || i > 0) ~index:i spec
@@ -939,15 +915,13 @@ let build_hammer ~attach_accel ?shard (cfg : Config.t) =
       | Config.Xg_one_level _ | Config.Xg_two_level _ ->
           let p = make_xg_port "xg.port" in
           let g =
-            legacy_guard cfg ~engine
-              ~accel_engine:(Option.map (fun a -> a.(0)) shard)
-              ~rng ~registry ~perms ~os
+            legacy_guard cfg ~engine ~rng ~registry ~perms ~os
               ~host_port:(H.Xg_port.host_port p)
               ~attach_core:(H.Xg_port.attach_core p) ~attach_accel
           in
           finish ~plain_ports:[||] ~guards:[ (g, p) ] ())
 
-let build_mesi ~attach_accel ?shard (cfg : Config.t) =
+let build_mesi ~attach_accel (cfg : Config.t) =
   let ordering =
     Xguard_network.Network.Unordered
       { min_latency = cfg.Config.host_net_min; max_latency = cfg.Config.host_net_max }
@@ -969,18 +943,6 @@ let build_mesi ~attach_accel ?shard (cfg : Config.t) =
   let os = Xg.Os_model.create ~policy:cfg.Config.os_policy () in
   let finish ~plain_ports ~(guards : (guard * M.Xg_port.t) list) () =
     let gonly = List.map fst guards in
-    let shard_engines =
-      match shard with
-      | None -> [||]
-      | Some accel_engines ->
-          let engines = Array.append [| engine |] accel_engines in
-          let dom_of = Array.make (Node.Registry.count registry) 0 in
-          List.iteri (fun i g -> dom_of.(Node.id g.g_accel_node) <- i + 1) gonly;
-          List.iter
-            (fun g -> Xg.Xg_iface.Link.set_partition g.g_link ~dom_of ~engines)
-            gonly;
-          engines
-    in
     let g0 = match gonly with g :: _ -> Some g | [] -> None in
     let accel_ports =
       match gonly with
@@ -1262,7 +1224,6 @@ let build_mesi ~attach_accel ?shard (cfg : Config.t) =
       cpu_ports = Mesi_system.cpu_ports sys;
       accel_ports;
       guards = Array.of_list gonly;
-      shard_engines;
       xg_core = Option.map (fun g -> g.g_core) g0;
       accel_link = Option.map (fun g -> g.g_link) g0;
       xg_node_on_link = Option.map (fun g -> g.g_xg_node) g0;
@@ -1339,9 +1300,7 @@ let build_mesi ~attach_accel ?shard (cfg : Config.t) =
           (fun i (spec : Topology.accel_spec) ->
             let p = make_xg_port (sfx spec.Topology.id "xg.port") in
             let g =
-              spec_guard cfg ~engine
-                ~accel_engine:(Option.map (fun a -> a.(i)) shard)
-                ~rng ~registry ~perms ~os
+              spec_guard cfg ~engine ~rng ~registry ~perms ~os
                 ~host_port:(M.Xg_port.host_port p)
                 ~attach_core:(M.Xg_port.attach_core p)
                 ~attach:(attach_accel || i > 0) ~index:i spec
@@ -1374,9 +1333,7 @@ let build_mesi ~attach_accel ?shard (cfg : Config.t) =
       | Config.Xg_one_level _ | Config.Xg_two_level _ ->
           let p = make_xg_port "xg.port" in
           let g =
-            legacy_guard cfg ~engine
-              ~accel_engine:(Option.map (fun a -> a.(0)) shard)
-              ~rng ~registry ~perms ~os
+            legacy_guard cfg ~engine ~rng ~registry ~perms ~os
               ~host_port:(M.Xg_port.host_port p)
               ~attach_core:(M.Xg_port.attach_core p) ~attach_accel
           in
@@ -1386,32 +1343,13 @@ let build_mesi ~attach_accel ?shard (cfg : Config.t) =
    enough to stay invisible in profiles, fine enough to show queue ramps. *)
 let sampler_period = 500
 
-(* How many guards a config will instantiate — the sharded builder allocates
-   one accelerator-domain engine per guard up front. *)
-let guard_count (cfg : Config.t) =
-  match cfg.Config.topology with
-  | Some topo -> List.length topo.Topology.accels
-  | None -> (
-      match cfg.Config.org with
-      | Config.Xg_one_level _ | Config.Xg_two_level _ -> 1
-      | Config.Accel_side | Config.Host_side -> 0)
-
-let build ?(attach_accel = true) ?(pdes = false) (cfg : Config.t) =
+let build ?(attach_accel = true) (cfg : Config.t) =
   if Spans.on () then Spans.reset_gauges ();
   if Metrics.on () then Metrics.reset_sources ();
-  let shard =
-    if not pdes then None
-    else begin
-      let n = guard_count cfg in
-      if n = 0 then
-        invalid_arg "System.build: sharded simulation needs at least one guard";
-      Some (Array.init n (fun _ -> Engine.create ()))
-    end
-  in
   let t =
     match cfg.Config.host with
-    | Config.Hammer -> build_hammer ~attach_accel ?shard cfg
-    | Config.Mesi -> build_mesi ~attach_accel ?shard cfg
+    | Config.Hammer -> build_hammer ~attach_accel cfg
+    | Config.Mesi -> build_mesi ~attach_accel cfg
   in
   (* Metrics counter sources: every stats group the run would report, plus
      each guard's link-layer group (retransmissions live there — the
@@ -1446,21 +1384,14 @@ let build ?(attach_accel = true) ?(pdes = false) (cfg : Config.t) =
       }
     end
   in
-  (* The sharded coordinator samples gauges at window barriers instead — a
-     free-running sampler tick could not fire inside a domain window. *)
-  if not pdes then begin
-    if Metrics.on () then
-      (* One fused tick for both layers: two independent [Engine.every]
-         samplers would each see the other's next tick in [pending] and keep
-         the engine alive forever.  Span sample first, then metrics — the
-         same order the PDES barrier replays. *)
-      Engine.every t.engine ~period:sampler_period ~phase:sampler_period
-        (fun () ->
-          let now = Engine.now t.engine in
-          Spans.sample_now ~now;
-          Metrics.sample_now ~now;
-          Engine.pending t.engine > 0)
-    else if Spans.on () then
-      Spans.start_sampler ~engine:t.engine ~period:sampler_period
-  end;
+  if Metrics.on () then
+    (* One fused tick for both layers: two independent [Engine.every]
+       samplers would each see the other's next tick in [pending] and keep
+       the engine alive forever.  Span sample first, then metrics. *)
+    Engine.every t.engine ~period:sampler_period ~phase:sampler_period (fun () ->
+        let now = Engine.now t.engine in
+        Spans.sample_now ~now;
+        Metrics.sample_now ~now;
+        Engine.pending t.engine > 0)
+  else if Spans.on () then Spans.start_sampler ~engine:t.engine ~period:sampler_period;
   t

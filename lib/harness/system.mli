@@ -50,11 +50,6 @@ type t = {
       (** every Crossing Guard in the system, in topology order; a single
           anonymous entry for the legacy XG organizations, empty for
           [Accel_side]/[Host_side] *)
-  shard_engines : Xguard_sim.Engine.t array;
-      (** the sharded parallel simulator's domain engines ([Pdes]): [.(0)] is
-          the host engine (= [engine]) and [.(g + 1)] the engine guard [g]'s
-          accelerator stack schedules on.  [[||]] for a sequential build —
-          everything then shares [engine] as before. *)
   xg_core : Xguard_xg.Xg_core.t option;
   accel_link : Xguard_xg.Xg_iface.Link.t option;
   xg_node_on_link : Node.t option;
@@ -125,20 +120,9 @@ val coverage_reports : t -> Xguard_trace.Coverage.report list
 (** One report per entry of [coverage_sets], in order. *)
 
 val sampler_period : int
-(** Gauge-sampling period (cycles) of the span recorder's free-running
-    sampler; the sharded simulator samples at the same multiples from its
-    window barriers. *)
+(** Gauge-sampling period (cycles) of the span and metrics samplers. *)
 
-val build : ?attach_accel:bool -> ?pdes:bool -> Config.t -> t
+val build : ?attach_accel:bool -> Config.t -> t
 (** [attach_accel:false] (XG organizations only) leaves the accelerator side
     of the XG link unregistered so a fuzzer or fault injector can take its
-    place; [accel_ports] is then empty.
-
-    [pdes:true] (default [false]) builds the system sharded for the parallel
-    simulator: each guard's accelerator stack gets its own engine
-    ([shard_engines]), every guard link is partitioned across domains, and
-    the free-running span sampler is not started (the window coordinator
-    samples at barriers instead).  Only [Pdes.run_windows] should drive such
-    a system; callers must validate eligibility with {!Pdes.check_config}
-    first.
-    @raise Invalid_argument with [pdes:true] on a guard-less organization. *)
+    place; [accel_ports] is then empty. *)

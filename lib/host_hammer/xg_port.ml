@@ -157,14 +157,12 @@ let try_complete t addr (tbe : get_tbe) =
     Group.incr_id t.stats t.sid.(0) (* get_complete *);
     if Spans.on () then begin
       let a = Addr.to_int addr and now = Engine.now t.engine in
-      let born = tbe.born and kind = tbe.kind in
-      Spans.deferred ~now (fun () ->
-          let span, txn =
-            match Spans.lookup ~addr:a with
-            | Some (span, txn) -> (span, txn)
-            | None -> (0, span_txn_of_kind kind)
-          in
-          Spans.record Spans.Host_fetch txn ~span ~addr:a ~ts:born ~dur:(now - born))
+      let span, txn =
+        match Spans.lookup ~addr:a with
+        | Some (span, txn) -> (span, txn)
+        | None -> (0, span_txn_of_kind tbe.kind)
+      in
+      Spans.record Spans.Host_fetch txn ~span ~addr:a ~ts:tbe.born ~dur:(now - tbe.born)
     end;
     Xg_core.granted (core t) addr grant
   end
@@ -232,18 +230,15 @@ let handle_fwd t addr (kind : Msg.get_kind) ~requestor =
 let span_put_done t addr (p : put_rec) =
   if Spans.on () then begin
     let a = Addr.to_int addr and now = Engine.now t.engine in
-    let born = p.born and notify_core = p.notify_core in
-    Spans.deferred ~now (fun () ->
-        (match Spans.lookup_put ~addr:a with
-        | Some (span, txn) ->
-            Spans.record Spans.Host_writeback txn ~span ~addr:a ~ts:born
-              ~dur:(now - born)
-        | None ->
-            (* Port-initiated relinquishment (or a quarantine hand-back): no
-               crossing to attach to, so it gets its own span. *)
-            Spans.record Spans.Host_relinquish Spans.Inv ~span:(Spans.fresh_id ())
-              ~addr:a ~ts:born ~dur:(now - born));
-        if notify_core then Spans.put_settled ~addr:a ~now)
+    (match Spans.lookup_put ~addr:a with
+    | Some (span, txn) ->
+        Spans.record Spans.Host_writeback txn ~span ~addr:a ~ts:p.born ~dur:(now - p.born)
+    | None ->
+        (* Port-initiated relinquishment (or a quarantine hand-back): no
+           crossing to attach to, so it gets its own span. *)
+        Spans.record Spans.Host_relinquish Spans.Inv ~span:(Spans.fresh_id ()) ~addr:a
+          ~ts:p.born ~dur:(now - p.born));
+    if p.notify_core then Spans.put_settled ~addr:a ~now
   end
 
 let finish_put t addr (p : put_rec) =
@@ -256,14 +251,12 @@ let finish_put t addr (p : put_rec) =
       Hashtbl.remove t.deferred_puts addr;
       if Spans.on () then begin
         let a = Addr.to_int addr and now = Engine.now t.engine in
-        let born = d.born and is_owner = d.is_owner in
-        Spans.deferred ~now (fun () ->
-            let span, txn =
-              match Spans.lookup_put ~addr:a with
-              | Some (span, txn) -> (span, txn)
-              | None -> (0, if is_owner then Spans.Put_m else Spans.Put_s)
-            in
-            Spans.record Spans.Host_defer txn ~span ~addr:a ~ts:born ~dur:(now - born))
+        let span, txn =
+          match Spans.lookup_put ~addr:a with
+          | Some (span, txn) -> (span, txn)
+          | None -> (0, if d.is_owner then Spans.Put_m else Spans.Put_s)
+        in
+        Spans.record Spans.Host_defer txn ~span ~addr:a ~ts:d.born ~dur:(now - d.born)
       end;
       start_put t addr ~data:d.data ~dirty:d.dirty ~notify_core:d.notify_core
         ~is_owner:d.is_owner
@@ -275,18 +268,16 @@ let finish_put t addr (p : put_rec) =
             match Tbe_table.find t.tbes addr with
             | Some tbe ->
                 let a = Addr.to_int addr and now = Engine.now t.engine in
-                let born = tbe.born in
+                let span, txn =
+                  match Spans.lookup ~addr:a with
+                  | Some (span, txn) -> (span, txn)
+                  | None -> (0, span_txn_of_kind kind)
+                in
+                Spans.record Spans.Host_defer txn ~span ~addr:a ~ts:tbe.born
+                  ~dur:(now - tbe.born);
                 (* Re-stamp so [host.fetch] measures only the directory
                    transaction itself, not the wait behind the put. *)
-                tbe.born <- now;
-                Spans.deferred ~now (fun () ->
-                    let span, txn =
-                      match Spans.lookup ~addr:a with
-                      | Some (span, txn) -> (span, txn)
-                      | None -> (0, span_txn_of_kind kind)
-                    in
-                    Spans.record Spans.Host_defer txn ~span ~addr:a ~ts:born
-                      ~dur:(now - born))
+                tbe.born <- now
             | None -> ()
           end;
           send t ~dst:(t.directory addr) (Msg.Get { kind }) addr

@@ -105,14 +105,12 @@ let try_complete t addr (tbe : get_tbe) =
       Group.incr_id t.stats t.sid.(0) (* get_complete *);
       if Spans.on () then begin
         let a = Addr.to_int addr and now = Engine.now t.engine in
-        let born = tbe.born and want = tbe.want in
-        Spans.deferred ~now (fun () ->
-            let span, txn =
-              match Spans.lookup ~addr:a with
-              | Some (span, txn) -> (span, txn)
-              | None -> (0, span_txn_of_want want)
-            in
-            Spans.record Spans.Host_fetch txn ~span ~addr:a ~ts:born ~dur:(now - born))
+        let span, txn =
+          match Spans.lookup ~addr:a with
+          | Some (span, txn) -> (span, txn)
+          | None -> (0, span_txn_of_want tbe.want)
+        in
+        Spans.record Spans.Host_fetch txn ~span ~addr:a ~ts:tbe.born ~dur:(now - tbe.born)
       end;
       let g =
         match grant with
@@ -213,18 +211,14 @@ let handle_fwd t addr (kind : Msg.get_kind) ~requestor =
 let span_put_done t addr (p : put_rec) =
   if Spans.on () then begin
     let a = Addr.to_int addr and now = Engine.now t.engine in
-    let born = p.born and notify_core = p.notify_core in
-    Spans.deferred ~now (fun () ->
-        (match Spans.lookup_put ~addr:a with
-        | Some (span, txn) ->
-            Spans.record Spans.Host_writeback txn ~span ~addr:a ~ts:born
-              ~dur:(now - born)
-        | None ->
-            (* No crossing to attach to, so the relinquishment gets its own
-               span. *)
-            Spans.record Spans.Host_relinquish Spans.Inv ~span:(Spans.fresh_id ())
-              ~addr:a ~ts:born ~dur:(now - born));
-        if notify_core then Spans.put_settled ~addr:a ~now)
+    (match Spans.lookup_put ~addr:a with
+    | Some (span, txn) ->
+        Spans.record Spans.Host_writeback txn ~span ~addr:a ~ts:p.born ~dur:(now - p.born)
+    | None ->
+        (* No crossing to attach to, so the relinquishment gets its own span. *)
+        Spans.record Spans.Host_relinquish Spans.Inv ~span:(Spans.fresh_id ()) ~addr:a
+          ~ts:p.born ~dur:(now - p.born));
+    if p.notify_core then Spans.put_settled ~addr:a ~now
   end
 
 let handle_wb_ack t addr =

@@ -106,23 +106,6 @@ end) =
 struct
   type handler = src:Xguard_proto.Node.t -> Msg.t -> unit
 
-  (* Sharded-engine partition (see lib/harness/pdes.ml).  Every mutable cell
-     the partitioned send path touches is either indexed by the sender's node
-     or domain (each node lives in exactly one domain, and sends from it only
-     happen on that domain's engine) or deferred through the domain context —
-     no Hashtbl or shared counter is mutated concurrently. *)
-  type partition = {
-    dom_of : int array;  (** node id -> domain index *)
-    engines : Engine.t array;  (** domain index -> its engine *)
-    p_stride : int;  (** max node id + 1, for the flat FIFO map *)
-    p_fifo : int array;
-        (** (src * stride + dst) -> earliest next delivery; written only by
-            the sender's domain, replacing [last_delivery] which would race *)
-    p_messages : int array;  (** per-domain offered-message counters *)
-    p_bytes : int array;
-    p_latency : int;  (** the Ordered latency, cached *)
-  }
-
   type t = {
     engine : Engine.t;
     rng : Rng.t;
@@ -165,7 +148,6 @@ struct
     mutable inflight : (int, int * int * int * string) Hashtbl.t option;
     mutable inflight_next : int;
     mutable delay_chooser : (lo:int -> hi:int -> int) option;
-    mutable part : partition option;
   }
 
   let create ~engine ~rng ~name ~ordering () =
@@ -193,7 +175,6 @@ struct
       inflight = None;
       inflight_next = 0;
       delay_chooser = None;
-      part = None;
     }
 
   let name t = t.name
@@ -416,92 +397,6 @@ struct
             Hashtbl.remove table token;
             deliver ())
 
-  (* ---- sharded-engine partition ---- *)
-
-  let set_partition t ~dom_of ~engines =
-    (match t.ordering with
-    | Ordered _ -> ()
-    | Unordered _ ->
-        invalid_arg
-          (Printf.sprintf
-             "Network.set_partition(%s): only Ordered networks may span domains"
-             t.name));
-    if t.fault_path then
-      invalid_arg
-        (Printf.sprintf "Network.set_partition(%s): fault injection installed" t.name);
-    if t.inflight <> None then
-      invalid_arg
-        (Printf.sprintf "Network.set_partition(%s): check mode armed" t.name);
-    let stride = Array.length dom_of in
-    let latency = match t.ordering with Ordered { latency } -> latency | _ -> 0 in
-    (* Pre-size the per-source byte counters so the partitioned path never
-       grows the array (a growth would race between domains). *)
-    (if stride > Array.length t.bytes_by_src then begin
-       let grown = Array.make stride 0 in
-       Array.blit t.bytes_by_src 0 grown 0 (Array.length t.bytes_by_src);
-       t.bytes_by_src <- grown
-     end);
-    t.part <-
-      Some
-        {
-          dom_of;
-          engines;
-          p_stride = stride;
-          p_fifo = Array.make (stride * stride) 0;
-          p_messages = Array.make (Array.length engines) 0;
-          p_bytes = Array.make (Array.length engines) 0;
-          p_latency = latency;
-        }
-
-  let partitioned t = t.part <> None
-
-  (* The partitioned analogue of the [send] fast path.  Timestamps come from
-     the sender's engine; the delivery closure reads the destination engine's
-     clock (it runs inside that domain's window).  Cross-domain deliveries go
-     through the domain context's post queue and are scheduled on the
-     destination engine at the barrier — the conservative window bound
-     guarantees [at] is still in that engine's future. *)
-  let send_partitioned t p ~src ~dst ~size msg handler =
-    let src_id = Xguard_proto.Node.id src and dst_id = Xguard_proto.Node.id dst in
-    let sdom = p.dom_of.(src_id) and ddom = p.dom_of.(dst_id) in
-    let src_engine = p.engines.(sdom) in
-    let now = Engine.now src_engine in
-    (match t.monitor with Some f -> f ~src ~dst msg | None -> ());
-    (if Trace.on () then
-       match t.tracer with
-       | Some describe ->
-           let addr, text = describe msg in
-           Trace.send ~cycle:now ~net:t.name ~src:(Xguard_proto.Node.name src)
-             ~dst:(Xguard_proto.Node.name dst) ~addr ~text
-       | None -> ());
-    p.p_messages.(sdom) <- p.p_messages.(sdom) + 1;
-    p.p_bytes.(sdom) <- p.p_bytes.(sdom) + size;
-    t.bytes_by_src.(src_id) <- t.bytes_by_src.(src_id) + size;
-    let key = (src_id * p.p_stride) + dst_id in
-    let at = max (now + p.p_latency) p.p_fifo.(key) in
-    p.p_fifo.(key) <- at;
-    let dst_engine = p.engines.(ddom) in
-    let deliver () =
-      (if Trace.on () then
-         match t.tracer with
-         | Some describe ->
-             let addr, text = describe msg in
-             Trace.recv ~cycle:(Engine.now dst_engine) ~net:t.name
-               ~src:(Xguard_proto.Node.name src) ~dst:(Xguard_proto.Node.name dst)
-               ~addr ~text
-         | None -> ());
-      handler ~src msg
-    in
-    if sdom = ddom then Engine.schedule_at src_engine at deliver
-    else
-      match Xguard_sim.Shard.current () with
-      | Some ctx ->
-          Xguard_sim.Shard.post ctx ~at (fun () ->
-              Engine.schedule_at dst_engine at deliver)
-      | None ->
-          (* Coordinator code outside any window (setup at time 0). *)
-          Engine.schedule_at dst_engine at deliver
-
   let send t ~src ~dst ?(size = control_size) msg =
     let handler =
       match Hashtbl.find_opt t.handlers (Xguard_proto.Node.id dst) with
@@ -511,9 +406,6 @@ struct
             (Printf.sprintf "Network.send(%s): no handler registered for %s" t.name
                (Xguard_proto.Node.name dst))
     in
-    match t.part with
-    | Some p -> send_partitioned t p ~src ~dst ~size msg handler
-    | None ->
     (match t.monitor with Some f -> f ~src ~dst msg | None -> ());
     (if Trace.on () then
        match t.tracer with
@@ -548,15 +440,8 @@ struct
             schedule_delivery t ~src ~dst ~at:(at + copy) payload handler
           done
 
-  let messages_sent t =
-    match t.part with
-    | None -> t.messages
-    | Some p -> Array.fold_left ( + ) t.messages p.p_messages
-
-  let bytes_sent t =
-    match t.part with
-    | None -> t.bytes
-    | Some p -> Array.fold_left ( + ) t.bytes p.p_bytes
+  let messages_sent t = t.messages
+  let bytes_sent t = t.bytes
 
   let bytes_from t node =
     let id = Xguard_proto.Node.id node in

@@ -1,12 +1,10 @@
 module Histogram = Xguard_stats.Histogram
 module Group = Xguard_stats.Counter.Group
 module Engine = Xguard_sim.Engine
-module Shard = Xguard_sim.Shard
 
 (* Streaming run telemetry, built on the same bones as {!Spans}: a
-   per-domain armed recorder, deferred-effect replay at PDES barriers, and a
-   pure associative summary merge so campaign shards fold byte-identically in
-   job order.
+   per-domain armed recorder and a pure associative summary merge so
+   campaign shards fold byte-identically in job order.
 
    Each sampler tick snapshots three things into one sample: the nonzero
    counter deltas since the previous tick (every registered stats group,
@@ -17,8 +15,7 @@ module Shard = Xguard_sim.Shard
    are as deterministic as the stream itself.
 
    Arming metrics always arms the span layer too (the CLI enforces it): the
-   per-tick quantiles read the armed span recorder, and the sharded engine's
-   span context provides deferral for the per-guard latency hooks below. *)
+   per-tick quantiles read the armed span recorder. *)
 
 type sample = {
   m_ts : int;
@@ -69,28 +66,12 @@ let key : recorder option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 let get () = Domain.DLS.get key
 let armed = get
 
-(* PDES worker domains have no DLS recorder; they must still defer the
-   per-guard latency hooks through the shard context when the coordinator has
-   metrics armed.  The shard context only knows "spans are armed" (metrics
-   implies spans), so a process-wide hint distinguishes a metrics run from a
-   spans-only one and keeps the latter free of no-op deferrals. *)
-let hint = Atomic.make false
-
-let on () =
-  match Domain.DLS.get key with
-  | Some _ -> true
-  | None -> Atomic.get hint && Shard.spans_on ()
+let on () = match Domain.DLS.get key with Some _ -> true | None -> false
 
 let with_armed r f =
-  Atomic.set hint true;
   let prev = Domain.DLS.get key in
   Domain.DLS.set key (Some r);
   Fun.protect ~finally:(fun () -> Domain.DLS.set key prev) f
-
-let ctx_defer ~ts run =
-  match Shard.spans_ctx () with
-  | Some c -> Shard.defer c ~ts run
-  | None -> run ()
 
 (* -- sources ---------------------------------------------------------------- *)
 
@@ -148,26 +129,22 @@ let close_in tbl r ~metric ~guard ~addr ~now =
       Histogram.observe (hist_for r ~guard ~metric) (now - t0)
 
 let e2e_open ~guard ~addr ~now =
-  ctx_defer ~ts:now (fun () ->
-      match get () with None -> () | Some r -> open_in r.open_e2e r ~guard ~addr ~now)
+  match get () with None -> () | Some r -> open_in r.open_e2e r ~guard ~addr ~now
 
 let e2e_close ~guard ~addr ~now =
-  ctx_defer ~ts:now (fun () ->
-      match get () with
-      | None -> ()
-      | Some r -> close_in r.open_e2e r ~metric:"xg.e2e" ~guard ~addr ~now)
+  match get () with
+  | None -> ()
+  | Some r -> close_in r.open_e2e r ~metric:"xg.e2e" ~guard ~addr ~now
 
 let inv_open ~guard ~addr ~now =
-  ctx_defer ~ts:now (fun () ->
-      match get () with None -> () | Some r -> open_in r.open_inv r ~guard ~addr ~now)
+  match get () with None -> () | Some r -> open_in r.open_inv r ~guard ~addr ~now
 
 let inv_close ~guard ~addr ~now =
-  ctx_defer ~ts:now (fun () ->
-      match get () with
-      | None -> ()
-      | Some r -> close_in r.open_inv r ~metric:"inv.roundtrip" ~guard ~addr ~now)
+  match get () with
+  | None -> ()
+  | Some r -> close_in r.open_inv r ~metric:"inv.roundtrip" ~guard ~addr ~now
 
-(* -- availability (recorded once post-run, outside any shard window) -------- *)
+(* -- availability (recorded once post-run) ------------------------------------ *)
 
 let note_avail ~guard ~down ~now =
   match get () with

@@ -1,17 +1,15 @@
 (** Streaming run telemetry: periodic counter-delta / gauge / span-quantile
     samples, per-guard latency histograms, availability notes, and the
     {!Watchdog}'s anomaly verdicts — one recorder per job, merged with the
-    same pure, job-ordered discipline as {!Spans} so campaign shards and the
-    sharded (PDES) engine produce byte-identical streams for any [-j] /
-    [--sim-j].
+    same pure, job-ordered discipline as {!Spans} so campaign shards produce
+    byte-identical streams for any [-j].
 
     Invisible unless armed: every hook below no-ops when no recorder is armed
-    on the domain (and no shard context forwards to an armed coordinator), so
-    metrics-off runs are byte-identical to builds without this module.
+    on the domain, so metrics-off runs are byte-identical to builds without
+    this module.
 
     Arming metrics requires the span layer to be armed too (the CLI enforces
-    it): per-tick quantiles read the armed span recorder and per-guard
-    latency hooks defer through the shard span context at PDES barriers. *)
+    it): per-tick quantiles read the armed span recorder. *)
 
 type sample = {
   m_ts : int;
@@ -28,8 +26,7 @@ val create : ?watchdog:Watchdog.config -> ?sample_cap:int -> unit -> recorder
 (** {2 Arming} *)
 
 val on : unit -> bool
-(** Whether metrics are armed on this domain — directly, or via a sharded
-    window whose coordinator armed a metrics recorder. *)
+(** Whether metrics are armed on this domain. *)
 
 val armed : unit -> recorder option
 val with_armed : recorder -> (unit -> 'a) -> 'a
@@ -48,8 +45,7 @@ val add_gauge : name:string -> (unit -> int) -> unit
 val watchdog_armed : unit -> bool
 val set_watchdog_reporter : (rule:int -> event:int -> detail:string -> unit) -> unit
 
-(** {2 Per-guard latency hooks} — fired by the guard link, deferred through
-    the shard context inside PDES windows. *)
+(** {2 Per-guard latency hooks} — fired by the guard link. *)
 
 val e2e_open : guard:string -> addr:int -> now:int -> unit
 val e2e_close : guard:string -> addr:int -> now:int -> unit
@@ -62,10 +58,10 @@ val note_avail : guard:string -> down:int -> now:int -> unit
 (** {2 Sampling} *)
 
 val sample_now : now:int -> unit
-(** One sampler tick on the armed recorder (PDES barrier path). *)
+(** One sampler tick on the armed recorder. *)
 
 val start_sampler : engine:Xguard_sim.Engine.t -> period:int -> unit
-(** Free-running sampler for sequential builds, phase-aligned to [period]. *)
+(** Free-running sampler, phase-aligned to [period]. *)
 
 (** {2 Summaries} *)
 
@@ -110,7 +106,7 @@ val write_jsonl :
 (** The canonical [xguard-metrics-v1] JSONL stream: meta line, then per-job
     sample / watchdog / avail lines in job order, then merged per-guard and
     per-(segment, txn) histogram dumps, then SLO verdicts.  Deterministic for
-    any [-j] / [--sim-j]. *)
+    any [-j]. *)
 
 val write_verdict : out_channel -> Slo.verdict -> unit
 

@@ -159,30 +159,8 @@ let key : recorder option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let get () = Domain.DLS.get key
 
-(* Under the sharded (PDES) engine, span work performed inside a domain
-   window is deferred through the {!Xguard_sim.Shard} context and replayed
-   by the coordinator (where the recorder is armed) at the barrier, in
-   canonical (timestamp, domain, sequence) order.  [on] therefore answers
-   true on a worker whose coordinator has spans armed, and every mutator
-   below checks the context {e first} — even a coordinator that runs all
-   domains itself (one worker) must defer, or its replay order would differ
-   from the multi-worker one.  Replay happens with no context installed, so
-   the deferred closures fall through to the armed recorder. *)
-module Shard = Xguard_sim.Shard
-
-let on () =
-  match Domain.DLS.get key with
-  | Some _ -> true
-  | None -> Shard.spans_on ()
-
+let on () = match Domain.DLS.get key with Some _ -> true | None -> false
 let armed () = get ()
-
-let ctx_defer ~ts run =
-  match Shard.spans_ctx () with
-  | Some c -> Shard.defer c ~ts run
-  | None -> run ()
-
-let deferred ~now f = ctx_defer ~ts:now f
 
 let with_armed r f =
   let prev = Domain.DLS.get key in
@@ -193,13 +171,7 @@ let fresh_id_r r =
   r.next_id <- r.next_id + 1;
   r.next_id
 
-(* Inside a domain window ids come from the context (salted per domain, so
-   ids never collide across domains and never depend on replay order);
-   otherwise from the armed recorder as always. *)
-let fresh_id () =
-  match Shard.spans_ctx () with
-  | Some c -> Shard.fresh_span_id c
-  | None -> ( match get () with None -> 0 | Some r -> fresh_id_r r)
+let fresh_id () = match get () with None -> 0 | Some r -> fresh_id_r r
 
 let grow a len =
   let cap = Array.length a in
@@ -234,11 +206,9 @@ let record_r r seg txn ~span ~addr ~ts ~dur =
   Histogram.observe r.hists.(s).(x) dur;
   if r.timeline then tl_push r ~seg:s ~txn:x ~span ~addr ~ts ~dur
 
-let record_direct seg txn ~span ~addr ~ts ~dur =
+let record seg txn ~span ~addr ~ts ~dur =
   match get () with None -> () | Some r -> record_r r seg txn ~span ~addr ~ts ~dur
 
-let record seg txn ~span ~addr ~ts ~dur =
-  ctx_defer ~ts (fun () -> record_direct seg txn ~span ~addr ~ts ~dur)
 
 (* -- crossing lifecycle ---------------------------------------------------- *)
 
@@ -254,7 +224,7 @@ let retire_or_park r addr e =
     Hashtbl.replace r.host_puts addr e
   end
 
-let xreq_open_direct txn ~addr ~now =
+let xreq_open txn ~addr ~now =
   match get () with
   | None -> ()
   | Some r ->
@@ -276,9 +246,8 @@ let xreq_open_direct txn ~addr ~now =
           m_resp = -1;
         }
 
-let xreq_open txn ~addr ~now = ctx_defer ~ts:now (fun () -> xreq_open_direct txn ~addr ~now)
 
-let xreq_delivered_direct ~addr ~now =
+let xreq_delivered ~addr ~now =
   match get () with
   | None -> ()
   | Some r -> (
@@ -288,9 +257,8 @@ let xreq_delivered_direct ~addr ~now =
           record_r r Link_req e.e_txn ~span:e.id ~addr ~ts:e.m_req ~dur:(now - e.m_req)
       | _ -> ())
 
-let xreq_delivered ~addr ~now = ctx_defer ~ts:now (fun () -> xreq_delivered_direct ~addr ~now)
 
-let xg_decided_direct ~addr ~now =
+let xg_decided ~addr ~now =
   match get () with
   | None -> ()
   | Some r -> (
@@ -300,9 +268,8 @@ let xg_decided_direct ~addr ~now =
           record_r r Xg_decide e.e_txn ~span:e.id ~addr ~ts:e.m_xg ~dur:(now - e.m_xg)
       | _ -> ())
 
-let xg_decided ~addr ~now = ctx_defer ~ts:now (fun () -> xg_decided_direct ~addr ~now)
 
-let resp_sent_direct ~addr ~now =
+let resp_sent ~addr ~now =
   match get () with
   | None -> ()
   | Some r -> (
@@ -310,9 +277,8 @@ let resp_sent_direct ~addr ~now =
       | Some e when e.m_resp < 0 -> e.m_resp <- now
       | _ -> ())
 
-let resp_sent ~addr ~now = ctx_defer ~ts:now (fun () -> resp_sent_direct ~addr ~now)
 
-let resp_delivered_direct ~addr ~now =
+let resp_delivered ~addr ~now =
   match get () with
   | None -> ()
   | Some r -> (
@@ -324,9 +290,8 @@ let resp_delivered_direct ~addr ~now =
           retire_or_park r addr e
       | _ -> ())
 
-let resp_delivered ~addr ~now = ctx_defer ~ts:now (fun () -> resp_delivered_direct ~addr ~now)
 
-let host_put_issued_direct ~addr =
+let host_put_issued ~addr =
   match get () with
   | None -> ()
   | Some r -> (
@@ -334,11 +299,8 @@ let host_put_issued_direct ~addr =
       | Some e -> e.host_open <- true
       | None -> ())
 
-(* [now] orders the deferred op among same-window span work; the direct body
-   never needed it. *)
-let host_put_issued ~addr ~now = ctx_defer ~ts:now (fun () -> host_put_issued_direct ~addr)
 
-let put_settled_direct ~addr =
+let put_settled ~addr ~now:_ =
   match get () with
   | None -> ()
   | Some r -> (
@@ -349,7 +311,6 @@ let put_settled_direct ~addr =
             e.host_open <- false (* settle beat the accel ack; retire there *)
         | None -> ())
 
-let put_settled ~addr ~now = ctx_defer ~ts:now (fun () -> put_settled_direct ~addr)
 
 let lookup ~addr =
   match get () with
@@ -373,7 +334,7 @@ let lookup_put ~addr =
 
 (* -- invalidate lifecycle -------------------------------------------------- *)
 
-let inv_open_direct ~addr ~now =
+let inv_open ~addr ~now =
   match get () with
   | None -> ()
   | Some r ->
@@ -383,9 +344,8 @@ let inv_open_direct ~addr ~now =
       end;
       Hashtbl.replace r.invs addr { inv_id = fresh_id_r r; inv_sent = now }
 
-let inv_open ~addr ~now = ctx_defer ~ts:now (fun () -> inv_open_direct ~addr ~now)
 
-let inv_closed_direct ~addr ~now =
+let inv_closed ~addr ~now =
   match get () with
   | None -> ()
   | Some r -> (
@@ -395,16 +355,14 @@ let inv_closed_direct ~addr ~now =
           record_r r Inv_roundtrip Inv ~span:e.inv_id ~addr ~ts:e.inv_sent ~dur:(now - e.inv_sent)
       | None -> ())
 
-let inv_closed ~addr ~now = ctx_defer ~ts:now (fun () -> inv_closed_direct ~addr ~now)
 
-let inv_instant_direct seg ~addr ~now =
+let inv_instant seg ~addr ~now =
   match get () with
   | None -> ()
   | Some r ->
       let span = match Hashtbl.find_opt r.invs addr with Some e -> e.inv_id | None -> 0 in
       record_r r seg Inv ~span ~addr ~ts:now ~dur:0
 
-let inv_instant seg ~addr ~now = ctx_defer ~ts:now (fun () -> inv_instant_direct seg ~addr ~now)
 let inv_race ~addr ~now = inv_instant Inv_race ~addr ~now
 let inv_timeout ~addr ~now = inv_instant Inv_timeout ~addr ~now
 
@@ -433,10 +391,6 @@ let take_sample r ~now =
         r.sample_count <- r.sample_count + 1
       end
 
-(* Coordinator-driven sampling for the sharded engine: the per-engine
-   [start_sampler] tick cannot run inside domain windows, so the PDES
-   coordinator snapshots gauges at window barriers instead (workers parked,
-   cross-domain reads safe). *)
 let sample_now ~now = match get () with None -> () | Some r -> take_sample r ~now
 
 let start_sampler ~engine ~period =

@@ -74,9 +74,8 @@ val create : ?timeline:bool -> ?timeline_cap:int -> ?sample_cap:int -> unit -> r
     sampler the same way. *)
 
 val on : unit -> bool
-(** True when the calling domain has an armed recorder, or is executing a
-    sharded-engine window whose coordinator has spans armed (see
-    {!Xguard_sim.Shard}).  The one check every hook performs first. *)
+(** True when the calling domain has an armed recorder.  The one check every
+    hook performs first; compiled to a domain-local load and a match. *)
 
 val with_armed : recorder -> (unit -> 'a) -> 'a
 (** Run a thunk with [recorder] armed on this domain, restoring the previous
@@ -94,13 +93,6 @@ val fresh_id : unit -> int
 val record : seg -> txn -> span:int -> addr:int -> ts:int -> dur:int -> unit
 (** Close one segment: observe [dur] in the (seg, txn) histogram and append a
     timeline event when the recorder buffers timelines. *)
-
-val deferred : now:int -> (unit -> unit) -> unit
-(** Run a read-then-record block (e.g. {!lookup} followed by {!record}) at
-    simulated time [now].  Inside a sharded-engine domain window the whole
-    block is deferred and replayed at the barrier — its recorder reads then
-    see barrier-ordered state; otherwise it runs immediately.  Callers keep
-    their [if on () then ...] gate so spans-off runs allocate nothing. *)
 
 (** {3 Crossing lifecycle (guard link + XG + host ports)} *)
 
@@ -121,10 +113,9 @@ val resp_delivered : addr:int -> now:int -> unit
 (** The response arrived at the accelerator: closes [Link_resp] and, for
     GETs, retires the crossing. *)
 
-val host_put_issued : addr:int -> now:int -> unit
+val host_put_issued : addr:int -> unit
 (** The XG forwarded this writeback to a host port; the crossing then stays
-    open until {!put_settled}, even after the accel ack is delivered.  [now]
-    only orders the op under the sharded engine. *)
+    open until {!put_settled}, even after the accel ack is delivered. *)
 
 val put_settled : addr:int -> now:int -> unit
 (** A host-forwarded writeback finished on the host side; retires the
@@ -172,9 +163,7 @@ val gauges : unit -> (string * (unit -> int)) list
 
 val sample_now : now:int -> unit
 (** Snapshot every registered gauge once, timestamped [now], on the armed
-    recorder.  The sharded-engine coordinator calls this at window barriers
-    in place of {!start_sampler} (whose tick would have to run inside a
-    domain window). *)
+    recorder — one {!start_sampler} tick, driven by the caller. *)
 
 val start_sampler : engine:Xguard_sim.Engine.t -> period:int -> unit
 (** Snapshot every registered gauge every [period] cycles (first sample at

@@ -71,20 +71,10 @@ let record t ev =
   t.buf.(t.total mod Array.length t.buf) <- ev;
   t.total <- t.total + 1
 
-(* The single funnel every event goes through.  Under the sharded engine a
-   domain context is installed while a window executes; the ring write is
-   then deferred (stamped with the event's own cycle) and replayed by the
-   coordinator in canonical order, so trace artifacts are identical for any
-   worker count.  Without a context this is the historical direct write. *)
 let emit cycle kind controller addr a b c =
   match !current with
   | None -> ()
-  | Some t -> (
-      match Xguard_sim.Shard.current () with
-      | Some ctx ->
-          Xguard_sim.Shard.defer ctx ~ts:cycle (fun () ->
-              record t { cycle; kind; controller; addr; a; b; c })
-      | None -> record t { cycle; kind; controller; addr; a; b; c })
+  | Some t -> record t { cycle; kind; controller; addr; a; b; c }
 
 let send ~cycle ~net ~src ~dst ~addr ~text = emit cycle Msg_send net addr src dst text
 let recv ~cycle ~net ~src ~dst ~addr ~text = emit cycle Msg_recv net addr src dst text

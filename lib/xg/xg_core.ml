@@ -888,8 +888,7 @@ and accept_put t addr (p : per_addr) (req : Xg_iface.accel_request) =
   (* Host-forwarded writebacks keep the crossing's span open until the host
      side settles, so the port can attribute [host.writeback]. *)
   let host_put v =
-    if Spans.on () then
-      Spans.host_put_issued ~addr:(Addr.to_int addr) ~now:(Engine.now t.engine);
+    if Spans.on () then Spans.host_put_issued ~addr:(Addr.to_int addr);
     t.host.put addr v
   in
   match req with
@@ -940,15 +939,10 @@ and pump_stalled t addr (p : per_addr) =
       | Some parked ->
           let now = Engine.now t.engine in
           let a = Addr.to_int addr in
-          (* The lookup must read barrier-ordered recorder state under the
-             sharded engine, so the whole read-then-record block defers. *)
-          Spans.deferred ~now (fun () ->
-              let span =
-                match Spans.lookup ~addr:a with Some (s, _) -> s | None -> 0
-              in
-              Spans.record Spans.Xg_stall
-                (Xg_iface.span_txn_of_request req)
-                ~span ~addr:a ~ts:parked ~dur:(now - parked))
+          let span = match Spans.lookup ~addr:a with Some (s, _) -> s | None -> 0 in
+          Spans.record Spans.Xg_stall
+            (Xg_iface.span_txn_of_request req)
+            ~span ~addr:a ~ts:parked ~dur:(now - parked)
       | None -> ()
     end;
     process_get t addr p req

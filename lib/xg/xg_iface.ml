@@ -199,9 +199,6 @@ module Link = struct
     mutable reset_seen : int;
     mutable pending_reset : (int * (unit -> unit)) option;
     mutable on_reset : unit -> unit;
-    (* Sharded-engine partition: per-node clock for the span hooks, installed
-       by {!set_partition}.  [t.engine] stays the host-side clock. *)
-    mutable part_now : Node.t -> Engine.time;
     stats : Counter.Group.t;
     cov : Counter.Group.t;
     covm : Coverage.matrix;
@@ -259,7 +256,6 @@ module Link = struct
         reset_seen = 0;
         pending_reset = None;
         on_reset = (fun () -> ());
-        part_now = (fun _ -> Engine.now engine);
         stats;
         cov;
         covm = Coverage.intern_matrix coverage_space cov;
@@ -599,8 +595,8 @@ module Link = struct
 
   let register t node handler =
     let handler ~src msg =
-      if t.crossing && Spans.on () then span_deliver msg ~now:(t.part_now node);
-      if t.mlabel <> "" && Metrics.on () then metrics_deliver t msg ~now:(t.part_now node);
+      if t.crossing && Spans.on () then span_deliver msg ~now:(Engine.now t.engine);
+      if t.mlabel <> "" && Metrics.on () then metrics_deliver t msg ~now:(Engine.now t.engine);
       handler ~src msg
     in
     Raw.register t.raw node (fun ~src wire ->
@@ -614,8 +610,8 @@ module Link = struct
 
   let send t ~src ~dst ?(size = Network.control_size) msg =
     (match t.monitor with Some f -> f ~src ~dst msg | None -> ());
-    if t.crossing && Spans.on () then span_send msg ~now:(t.part_now src);
-    if t.mlabel <> "" && Metrics.on () then metrics_send t msg ~now:(t.part_now src);
+    if t.crossing && Spans.on () then span_send msg ~now:(Engine.now t.engine);
+    if t.mlabel <> "" && Metrics.on () then metrics_send t msg ~now:(Engine.now t.engine);
     if not t.reliable then Raw.send t.raw ~src ~dst ~size (Plain msg)
     else begin
       let ch = channel t ~src ~dst in
@@ -663,17 +659,6 @@ module Link = struct
     end
 
   let killed t = t.killed
-
-  (* ---- sharded-engine partition ---- *)
-
-  let set_partition t ~dom_of ~engines =
-    if t.reliable then
-      invalid_arg
-        (Printf.sprintf
-           "Link.set_partition(%s): reliability timers are engine-local" t.lname);
-    Raw.set_partition t.raw ~dom_of ~engines;
-    t.part_now <-
-      (fun node -> Engine.now engines.(dom_of.(Node.id node)))
 
   (* ---- passthrough ---- *)
 

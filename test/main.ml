@@ -25,5 +25,4 @@ let () =
          Test_spans.tests;
          Test_metrics.tests;
          Test_check.tests;
-         Test_pdes.tests;
        ])

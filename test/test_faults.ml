@@ -410,6 +410,9 @@ let tests =
       [
         Alcotest.test_case "script parsing" `Quick test_script_parsing;
         Alcotest.test_case "script round-trip" `Quick test_script_roundtrip;
+        Spec_gen.total ~name:"Fault.script_of_string is total"
+          ~valid:[ "drop:3"; "dup:1:DataM"; "delay@9:2"; "kill:5"; "corrupt:7:Put" ]
+          Fault.script_of_string;
         Alcotest.test_case "drop probability 1.0" `Quick test_drop_all;
         Alcotest.test_case "duplicate probability 1.0" `Quick test_duplicate_all;
         Alcotest.test_case "corrupt probability 1.0" `Quick test_corrupt_all;

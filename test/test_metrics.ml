@@ -49,6 +49,13 @@ let test_json_rejects_garbage () =
       | Error _ -> ())
     [ ""; "{"; "{\"a\":}"; "[1,]"; "{\"a\":1} trailing"; "\"unterminated"; "nul" ]
 
+(* Unterminated nesting far deeper than any real document: an [Error], not a
+   stack overflow. *)
+let test_json_deep_nesting () =
+  match Json.of_string (String.make 1_000_000 '[') with
+  | Ok _ -> Alcotest.fail "unterminated nesting accepted"
+  | Error _ -> ()
+
 (* ---- SLO parsing and evaluation ---- *)
 
 let test_slo_parse () =
@@ -314,9 +321,24 @@ let tests =
       [
         Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
         Alcotest.test_case "json rejects garbage" `Quick test_json_rejects_garbage;
+        Alcotest.test_case "json deep nesting" `Quick test_json_deep_nesting;
+        Spec_gen.total ~name:"Json.of_string is total"
+          ~valid:
+            [
+              {_|{"a": 1, "b": [true, null, -2.5e3], "c": {"d": "x\u00e9\n"}}|_};
+              {|{"kind":"sample","ts":500,"counters":{"xg.link.sent":3},"gauges":[]}|};
+              "[[], {}, \"\", 0, -0.5, 1E+2, false]";
+            ]
+          Json.of_string;
         Alcotest.test_case "slo parse" `Quick test_slo_parse;
+        Spec_gen.total ~name:"Slo.parse is total"
+          ~valid:[ "xg.decide:p99<=40;seq.e2e:p95<=400;avail>=0.95"; "xg.e2e:p99<=64" ]
+          Slo.parse;
         Alcotest.test_case "slo evaluate" `Quick test_slo_evaluate;
         Alcotest.test_case "watchdog parse" `Quick test_watchdog_parse;
+        Spec_gen.total ~name:"Watchdog.parse is total"
+          ~valid:[ "retry=8,stall=2,starve=3,ceil:xg.open_transactions=32"; "starve=1" ]
+          Watchdog.parse;
         Alcotest.test_case "watchdog retry storm latches" `Quick
           test_watchdog_retry_storm_latches;
         Alcotest.test_case "watchdog stall and ceiling" `Quick

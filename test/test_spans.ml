@@ -88,7 +88,7 @@ let test_put_parks_until_settled () =
   Spans.with_armed r (fun () ->
       Spans.xreq_open Spans.Put_m ~addr:4 ~now:0;
       Spans.xreq_delivered ~addr:4 ~now:8;
-      Spans.host_put_issued ~addr:4 ~now:9;
+      Spans.host_put_issued ~addr:4;
       Spans.xg_decided ~addr:4 ~now:10;
       Spans.resp_sent ~addr:4 ~now:10;
       Spans.resp_delivered ~addr:4 ~now:18;

@@ -184,6 +184,15 @@ let tests =
         Alcotest.test_case "parse defaults" `Quick test_parse_defaults;
         Alcotest.test_case "parse round-trip" `Quick test_parse_round_trip;
         Alcotest.test_case "validation rejects" `Quick test_validation_rejects;
+        Spec_gen.total ~name:"Topology.of_string is total"
+          ~valid:
+            [
+              mixed3;
+              "mesi;gpu=full,2lvl,cores=4,lat=20;nic=trans,uncached,jitter=3";
+              "hammer:shards=4;a=trans,drop=0.25,dup=0.1;b=full,fault=kill:3";
+              "hammer;a=trans,fault=drop:2:Inv,fault=corrupt:5";
+            ]
+          Topology.of_string;
         Alcotest.test_case "symmetric and name" `Quick test_symmetric_and_name;
         Alcotest.test_case "config integration" `Quick test_config_integration;
         Alcotest.test_case "N=3 mixed build and stress" `Quick
