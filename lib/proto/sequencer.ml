@@ -14,6 +14,10 @@ type pending = {
   issued_at : Engine.time;
   span : int; (* span id when recording, 0 otherwise *)
   on_complete : Data.t -> latency:int -> unit;
+  (* The cache's completion callback, built once per request (not per issue
+     attempt) and pointing back at this record.  Set right after the record
+     is allocated: a recursive record definition would allocate it twice. *)
+  mutable on_done : Data.t -> unit;
 }
 
 let dummy_pending =
@@ -22,6 +26,7 @@ let dummy_pending =
     issued_at = 0;
     span = 0;
     on_complete = (fun _ ~latency:_ -> ());
+    on_done = ignore;
   }
 
 type t = {
@@ -41,41 +46,17 @@ type t = {
   mutable retries : int;
   latency : Histogram.t;
   mutable pump_scheduled : bool;
+  (* At most one retry event is pending per sequencer: a rejection while one
+     is already scheduled leaves it alone (see the contract in the .mli). *)
+  mutable retry_scheduled : bool;
+  (* Event thunks, built once per sequencer. *)
+  pump_event : unit -> unit;
+  retry_event : unit -> unit;
   (* Choice tag for pump/retry events (model checker); [Engine.no_tag] outside
      check mode.  Set to the served cache's controller id so reorderings
      against that cache's deliveries are never pruned. *)
   mutable check_tag : int;
 }
-
-let create ~engine ~name ~port ?(max_outstanding = 16) ?(retry_delay = 3) () =
-  {
-    engine;
-    name;
-    port;
-    max_outstanding;
-    retry_delay;
-    pend = Array.make 16 dummy_pending;
-    head = 0;
-    queued = 0;
-    in_flight = 0;
-    flight_addrs = Array.make (max max_outstanding 1) (Addr.block 0);
-    completed = 0;
-    retries = 0;
-    latency = Histogram.create (name ^ ".latency");
-    pump_scheduled = false;
-    check_tag = Engine.no_tag;
-  }
-
-let create ~engine ~name ~port ?max_outstanding ?retry_delay () =
-  let t = create ~engine ~name ~port ?max_outstanding ?retry_delay () in
-  if Spans.on () then Spans.add_gauge ~name:(name ^ ".outstanding") (fun () -> t.in_flight + t.queued);
-  (* The watchdog's starvation rule pairs each port's [.outstanding] gauge
-     (shared with the span layer above) with a progress signal: a port that
-     holds work while [.completed] freezes — and the rest of the system
-     moves — is starving. *)
-  if Metrics.on () then
-    Metrics.add_gauge ~name:(name ^ ".completed") (fun () -> t.completed);
-  t
 
 let name t = t.name
 let outstanding t = t.in_flight + t.queued
@@ -111,27 +92,26 @@ let pop_front t =
   t.queued <- t.queued - 1;
   p
 
-let addr_in_flight t addr =
-  let rec go i =
-    i < t.in_flight && (Addr.equal t.flight_addrs.(i) addr || go (i + 1))
-  in
-  go 0
+(* Flight-table helpers are top-level loops: a local [let rec] capturing
+   [t] would allocate a closure per call. *)
+let rec flight_index t addr i =
+  if i >= t.in_flight then -1
+  else if Addr.equal t.flight_addrs.(i) addr then i
+  else flight_index t addr (i + 1)
+
+let addr_in_flight t addr = flight_index t addr 0 >= 0
 
 (* Remove one occurrence by swapping the last live entry into its slot; the
    caller decrements [in_flight] afterwards.  No-op when absent. *)
 let remove_flight t addr =
-  let n = t.in_flight in
-  let rec go i =
-    if i < n then
-      if Addr.equal t.flight_addrs.(i) addr then begin
-        t.flight_addrs.(i) <- t.flight_addrs.(n - 1);
-        (* Clear the vacated tail slot: stale addresses past [in_flight] are
-           behaviorally inert but would leak into state fingerprints. *)
-        t.flight_addrs.(n - 1) <- Addr.block 0
-      end
-      else go (i + 1)
-  in
-  go 0
+  let i = flight_index t addr 0 in
+  if i >= 0 then begin
+    let n = t.in_flight in
+    t.flight_addrs.(i) <- t.flight_addrs.(n - 1);
+    (* Clear the vacated tail slot: stale addresses past [in_flight] are
+       behaviorally inert but would leak into state fingerprints. *)
+    t.flight_addrs.(n - 1) <- Addr.block 0
+  end
 
 let rec pump t =
   if
@@ -141,25 +121,7 @@ let rec pump t =
   then begin
     let p = pop_front t in
     let addr = p.access.Access.addr in
-    let accepted =
-      t.port.Access.issue p.access ~on_done:(fun value ->
-          remove_flight t addr;
-          t.in_flight <- t.in_flight - 1;
-          t.completed <- t.completed + 1;
-          let lat = Engine.now t.engine - p.issued_at in
-          Histogram.observe t.latency lat;
-          if Spans.on () then
-            Spans.record Spans.Seq_e2e (span_txn p.access) ~span:p.span
-              ~addr:(Addr.to_int addr) ~ts:p.issued_at ~dur:lat;
-          if Trace.on () then
-            Trace.note ~cycle:(Engine.now t.engine) ~controller:t.name
-              ~addr:(Addr.to_int addr)
-              ~text:(Printf.sprintf "done %s (latency %d)" (access_text p.access) lat)
-              ();
-          p.on_complete value ~latency:lat;
-          schedule_pump t)
-    in
-    if accepted then begin
+    if t.port.Access.issue p.access ~on_done:p.on_done then begin
       t.flight_addrs.(t.in_flight) <- addr;
       t.in_flight <- t.in_flight + 1;
       if Spans.on () then
@@ -174,7 +136,8 @@ let rec pump t =
       pump t
     end
     else begin
-      (* Cache rejected: requeue at the head and retry after a delay. *)
+      (* Cache rejected: requeue at the head and retry after a delay, unless
+         a retry is already pending. *)
       t.retries <- t.retries + 1;
       if Spans.on () then
         Spans.record Spans.Seq_retry (span_txn p.access) ~span:p.span
@@ -185,21 +148,83 @@ let rec pump t =
           ~why:(Printf.sprintf "cache rejected %s; retry in %d" (access_text p.access)
                   t.retry_delay);
       push_front t p;
-      Engine.schedule t.engine ~delay:t.retry_delay ~tag:t.check_tag (fun () -> pump t)
+      if not t.retry_scheduled then begin
+        t.retry_scheduled <- true;
+        Engine.schedule t.engine ~delay:t.retry_delay ~tag:t.check_tag t.retry_event
+      end
     end
   end
 
-and schedule_pump t =
+let schedule_pump t =
   if not t.pump_scheduled then begin
     t.pump_scheduled <- true;
-    Engine.schedule t.engine ~delay:0 ~tag:t.check_tag (fun () ->
-        t.pump_scheduled <- false;
-        pump t)
+    Engine.schedule t.engine ~delay:0 ~tag:t.check_tag t.pump_event
   end
+
+(* The cache committed [p]: the completion body behind [p.on_done]. *)
+let finish t p value =
+  let addr = p.access.Access.addr in
+  remove_flight t addr;
+  t.in_flight <- t.in_flight - 1;
+  t.completed <- t.completed + 1;
+  let lat = Engine.now t.engine - p.issued_at in
+  Histogram.observe t.latency lat;
+  if Spans.on () then
+    Spans.record Spans.Seq_e2e (span_txn p.access) ~span:p.span
+      ~addr:(Addr.to_int addr) ~ts:p.issued_at ~dur:lat;
+  if Trace.on () then
+    Trace.note ~cycle:(Engine.now t.engine) ~controller:t.name
+      ~addr:(Addr.to_int addr)
+      ~text:(Printf.sprintf "done %s (latency %d)" (access_text p.access) lat)
+      ();
+  p.on_complete value ~latency:lat;
+  schedule_pump t
+
+let on_pump t =
+  t.pump_scheduled <- false;
+  pump t
+
+let on_retry t =
+  t.retry_scheduled <- false;
+  pump t
+
+let create ~engine ~name ~port ?(max_outstanding = 16) ?(retry_delay = 3) () =
+  let rec t =
+    {
+      engine;
+      name;
+      port;
+      max_outstanding;
+      retry_delay;
+      pend = Array.make 16 dummy_pending;
+      head = 0;
+      queued = 0;
+      in_flight = 0;
+      flight_addrs = Array.make (max max_outstanding 1) (Addr.block 0);
+      completed = 0;
+      retries = 0;
+      latency = Histogram.create (name ^ ".latency");
+      pump_scheduled = false;
+      retry_scheduled = false;
+      pump_event = (fun () -> on_pump t);
+      retry_event = (fun () -> on_retry t);
+      check_tag = Engine.no_tag;
+    }
+  in
+  if Spans.on () then Spans.add_gauge ~name:(name ^ ".outstanding") (fun () -> t.in_flight + t.queued);
+  (* The watchdog's starvation rule pairs each port's [.outstanding] gauge
+     (shared with the span layer above) with a progress signal: a port that
+     holds work while [.completed] freezes — and the rest of the system
+     moves — is starving. *)
+  if Metrics.on () then
+    Metrics.add_gauge ~name:(name ^ ".completed") (fun () -> t.completed);
+  t
 
 let request t access ~on_complete =
   let span = if Spans.on () then Spans.fresh_id () else 0 in
-  push_back t { access; issued_at = Engine.now t.engine; span; on_complete };
+  let p = { access; issued_at = Engine.now t.engine; span; on_complete; on_done = ignore } in
+  p.on_done <- (fun value -> finish t p value);
+  push_back t p;
   schedule_pump t
 
 (* ---- model-checker support ---- *)
@@ -233,4 +258,5 @@ let check_fingerprint t buf =
     (fun a -> Buffer.add_string buf (Printf.sprintf "f%d" (Addr.to_int a)))
     live;
   if t.pump_scheduled then Buffer.add_char buf 'P';
+  if t.retry_scheduled then Buffer.add_char buf 'R';
   Buffer.add_char buf ';'

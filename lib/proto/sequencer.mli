@@ -4,7 +4,13 @@
     when the cache rejects them, tracks per-access latency and completion
     counts.  One sequencer per core.  The sequencer issues at most
     [max_outstanding] accesses concurrently and never issues two concurrent
-    accesses to the same block (hardware cores merge those in the LSQ). *)
+    accesses to the same block (hardware cores merge those in the LSQ).
+
+    Retry contract: when the cache rejects the head access, it stays at the
+    head and the sequencer keeps at most one retry event pending.  A blocked
+    head is therefore tried again every [retry_delay] cycles (default 3), and
+    additionally once on every completion and every new request; rejections
+    while a retry is already pending never start a second retry chain. *)
 
 type t
 
@@ -46,5 +52,5 @@ val check_residue : t -> int
 
 val check_fingerprint : t -> Buffer.t -> unit
 (** Append the architecturally-visible sequencer state (queued accesses in
-    order, sorted in-flight block set, pump-scheduled flag) to a canonical
-    state fingerprint; stats and span bookkeeping are excluded. *)
+    order, sorted in-flight block set, pump- and retry-scheduled flags) to a
+    canonical state fingerprint; stats and span bookkeeping are excluded. *)

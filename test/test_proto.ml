@@ -199,6 +199,47 @@ let test_sequencer_parallel_distinct_addresses () =
   ignore (Engine.run e);
   check_int "distinct addresses overlap" 4 !max_in_flight
 
+let test_sequencer_one_pending_retry () =
+  (* Four accepted accesses complete at cycles 10..40; a fifth is rejected
+     until cycle 60.  Each completion pumps the blocked head once, but must
+     not start another retry chain next to the pending one. *)
+  let e = Engine.create () in
+  let retry_delay = 3 and blocked_until = 60 in
+  let in_flight = ref 0 in
+  let port =
+    {
+      Access.issue =
+        (fun access ~on_done ->
+          let a = Addr.to_int access.Access.addr in
+          if a = 5 && Engine.now e < blocked_until then false
+          else begin
+            incr in_flight;
+            Engine.schedule e ~delay:(10 * a) (fun () ->
+                decr in_flight;
+                on_done (Data.token 7));
+            true
+          end);
+    }
+  in
+  let seq = Sequencer.create ~engine:e ~name:"seq" ~port ~retry_delay () in
+  for i = 1 to 5 do
+    Sequencer.request seq (Access.load (Addr.block i)) ~on_complete:(fun _ ~latency:_ -> ())
+  done;
+  let worst_excess = ref 0 in
+  while Engine.run e ~max_events:1 <> Engine.Drained do
+    worst_excess := max !worst_excess (Engine.pending e - !in_flight)
+  done;
+  check_int "all completed" 5 (Sequencer.completed seq);
+  let completions = 4 in
+  check_bool
+    (Printf.sprintf "%d retries <= one per delay + one per completion"
+       (Sequencer.retries seq))
+    true
+    (Sequencer.retries seq <= (blocked_until / retry_delay) + completions + 1);
+  check_bool
+    (Printf.sprintf "pending events <= in flight + 2 (worst excess %d)" !worst_excess)
+    true (!worst_excess <= 2)
+
 let tests =
   [
     ( "proto.basics",
@@ -225,5 +266,6 @@ let tests =
           test_sequencer_serializes_same_address;
         Alcotest.test_case "parallel distinct addresses" `Quick
           test_sequencer_parallel_distinct_addresses;
+        Alcotest.test_case "one pending retry" `Quick test_sequencer_one_pending_retry;
       ] );
   ]

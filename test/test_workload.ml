@@ -99,6 +99,20 @@ let test_mesi_uses_put_s () =
   let r = Perf.run (Config.make Config.Mesi (Config.Xg_one_level Config.Transactional)) w in
   check_int "nothing suppressed" 0 r.Perf.put_s_suppressed
 
+let test_streaming_event_budget () =
+  (* A blocked accelerator access is retried every [retry_delay] cycles and on
+     each completion, never by several overlapping retry chains, so a
+     default-length stream costs tens of events per access, not thousands. *)
+  let w = W.streaming () in
+  let before = Xguard_sim.Engine.events_fired_here () in
+  let r = Perf.run (Config.make Config.Hammer (Config.Xg_one_level Config.Full_state)) w in
+  let events = Xguard_sim.Engine.events_fired_here () - before in
+  let per_access = float_of_int events /. float_of_int r.Perf.accel_accesses in
+  check_bool
+    (Printf.sprintf "%s/%s: %.1f events per access < 100" r.Perf.config_name
+       r.Perf.workload_name per_access)
+    true (per_access < 100.0)
+
 let tests =
   [
     ( "workload.generators",
@@ -117,5 +131,6 @@ let tests =
           test_perf_runner_no_violations_with_correct_accel;
         Alcotest.test_case "PutS suppression register" `Quick test_put_s_suppression_register;
         Alcotest.test_case "MESI forwards PutS" `Quick test_mesi_uses_put_s;
+        Alcotest.test_case "streaming: events per access" `Quick test_streaming_event_budget;
       ] );
   ]
