@@ -32,6 +32,7 @@ type t = {
   (* Choice tag for hit-latency completion events (model checker);
      [Engine.no_tag] outside check mode. *)
   mutable check_tag : int;
+  waker : Access.Waker.t;
 }
 
 module Spec = struct
@@ -146,6 +147,7 @@ let create ~engine ~name ~flavor ~sets ~ways ?(hit_latency = 1) ?(mshr_limit = 1
     pending_evictions = 0;
     flushed = false;
     check_tag = Engine.no_tag;
+    waker = Access.Waker.create ();
   }
 
 let name t = t.name
@@ -288,7 +290,7 @@ let issue t (access : Access.t) ~on_done =
         false
       end
 
-let cpu_port t = { Access.issue = (fun access ~on_done -> issue t access ~on_done) }
+let cpu_port t = Access.Waker.port t.waker (issue t)
 
 (* Grant arriving from below while a Get is pending. *)
 let apply_grant t line (access : Access.t) ~on_done granted ~data =
@@ -380,13 +382,16 @@ let flush t =
   |> List.iter (fun (addr, _) -> Cache_array.remove t.array addr);
   t.pending_gets <- 0;
   t.pending_evictions <- 0;
-  t.flushed <- true
+  t.flushed <- true;
+  Access.Waker.wake t.waker
 
-let deliver t = function
+let deliver t msg =
+  (match msg with
   | Xg_iface.To_accel_resp { addr; resp } -> on_response t addr resp
   | Xg_iface.To_accel_req { addr; req = Xg_iface.Invalidate } -> on_invalidate t addr
   | Xg_iface.To_xg_req _ | Xg_iface.To_xg_resp _ ->
-      invalid_arg (t.name ^ ": received an accelerator-to-XG message")
+      invalid_arg (t.name ^ ": received an accelerator-to-XG message"));
+  Access.Waker.wake t.waker
 
 (* ---- model-checker support ---- *)
 
@@ -421,4 +426,5 @@ let check_fingerprint t buf =
              Buffer.add_string buf
                (Format.asprintf "g%a" Access.pp access)
          | Busy Put -> Buffer.add_char buf 'p');
-         Buffer.add_string buf (Printf.sprintf ":%d;" (line.data : Data.t)))
+         Buffer.add_string buf (Printf.sprintf ":%d;" (line.data : Data.t)));
+  if Access.Waker.blocked t.waker then Buffer.add_char buf 'w'

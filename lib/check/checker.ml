@@ -10,10 +10,11 @@
     recorded prefix — no state copying, no forking.
 
     States are canonical fingerprints ({!Xguard_harness.System.t.check_fingerprint}
-    plus the driver sequencers), hashed at every decision point, at the root
-    and at drained terminals; a revisited fingerprint prunes the subtree
-    (the fingerprint covers all live state including the pending-event
-    horizon, so the future from an equal fingerprint is identical).
+    plus the driver sequencers), hashed at every scheduler decision point, at
+    the first event boundary after delay decisions, and at drained
+    terminals; a revisited fingerprint prunes the subtree (the fingerprint
+    covers all live state including the pending-event horizon, so the future
+    from an equal fingerprint is identical).
 
     Partial-order reduction: when several events share the timestamp, a
     candidate whose choice tag conflicts with no other candidate commutes
@@ -171,35 +172,56 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
     sh.n_decisions <- sh.n_decisions + 1;
     chosen
   in
+  (* Delay decisions taken since the last visited state.  They are made
+     mid-event, where no fingerprint covers the rest of the handler, so the
+     state is visited at the next event boundary instead; otherwise every
+     combination of consecutive delay draws runs on to the next scheduler
+     branch point before a revisit can prune it. *)
+  let delays_unvisited = ref false in
   sys.Sys.check_set_delay_chooser (fun ~lo ~hi ->
-      if hi <= lo then lo else lo + decide (hi - lo + 1));
+      if hi <= lo then lo
+      else begin
+        delays_unvisited := true;
+        lo + decide (hi - lo + 1)
+      end);
   (* Driver: one sequencer per referenced port, each replaying its op list. *)
   let remaining = ref 0 in
   List.iter (fun (_, accesses) -> remaining := !remaining + List.length accesses) plan.ops;
-  List.iter
-    (fun (agent, accesses) ->
-      let port, ctrl =
-        match agent with
-        | Cpu i -> (sys.Sys.cpu_ports.(i), sys.Sys.check_cpu_ctrls.(i))
-        | Accel i -> (sys.Sys.accel_ports.(i), sys.Sys.check_accel_ctrls.(i))
-      in
-      let seq =
-        Sequencer.create ~engine:sys.Sys.engine ~name:("chk." ^ agent_label agent) ~port
-          ~max_outstanding:1 ()
-      in
-      if ctrl >= 0 then Sequencer.set_check_ctrl seq ctrl;
-      let rec issue = function
-        | [] -> ()
-        | access :: rest ->
-            Sequencer.request seq access ~on_complete:(fun _value ~latency:_ ->
-                decr remaining;
-                issue rest)
-      in
-      issue accesses)
-    plan.ops;
+  let drivers =
+    List.map
+      (fun (agent, accesses) ->
+        let port, ctrl =
+          match agent with
+          | Cpu i -> (sys.Sys.cpu_ports.(i), sys.Sys.check_cpu_ctrls.(i))
+          | Accel i -> (sys.Sys.accel_ports.(i), sys.Sys.check_accel_ctrls.(i))
+        in
+        let seq =
+          Sequencer.create ~engine:sys.Sys.engine ~name:("chk." ^ agent_label agent) ~port
+            ~max_outstanding:1 ()
+        in
+        if ctrl >= 0 then Sequencer.set_check_ctrl seq ctrl;
+        let rec issue = function
+          | [] -> ()
+          | access :: rest ->
+              Sequencer.request seq access ~on_complete:(fun _value ~latency:_ ->
+                  decr remaining;
+                  issue rest)
+        in
+        issue accesses;
+        seq)
+      plan.ops
+  in
+  (* The drivers are live state too: their queues, rejected heads and
+     progress through the op lists (each requests its next access only when
+     the previous one completes, so [completed] is the list position). *)
   let digest () =
     let buf = Buffer.create 1024 in
     sys.Sys.check_fingerprint buf;
+    List.iter
+      (fun seq ->
+        Sequencer.check_fingerprint seq buf;
+        Buffer.add_string buf (string_of_int (Sequencer.completed seq)))
+      drivers;
     Digest.to_hex (Digest.string (Buffer.contents buf))
   in
   let check_invariants () =
@@ -230,7 +252,8 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
        end;
        Hashtbl.replace sh.visited d ()
      end);
-    cur := Some d
+    cur := Some d;
+    delays_unvisited := false
   in
   let ending =
     try
@@ -240,9 +263,8 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
         let n = Array.length cands in
         if n = 0 then begin
           (* Drained terminal: deadlock and quiescent checks run before the
-             visited-set lookup — [remaining] is driver progress the
-             fingerprint does not cover, so these must fire even on a state
-             that would otherwise prune. *)
+             visited-set lookup, so they fire even on a state that would
+             otherwise prune. *)
           if !remaining > 0 then
             raise
               (Stop_path
@@ -278,17 +300,14 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
               !found
             end
           in
+          let branch = independent = None && n > 1 in
+          if branch || !delays_unvisited then visit_state (digest ());
           let idx =
             match independent with
             | Some i ->
                 if n > 1 then sh.n_por <- sh.n_por + 1;
                 i
-            | None ->
-                if n = 1 then 0
-                else begin
-                  visit_state (digest ());
-                  decide n
-                end
+            | None -> if branch then decide n else 0
           in
           (* Keys are invalidated by any firing; re-read the pool. *)
           let cands = Engine.choices engine in

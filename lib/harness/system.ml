@@ -251,6 +251,8 @@ let remote_port engine ~latency (seq : Sequencer.t) =
             Sequencer.request seq access ~on_complete:(fun value ~latency:_ ->
                 Engine.schedule engine ~delay:latency (fun () -> on_done value)));
         true);
+    (* Never rejects, so no wake-up is ever owed. *)
+    watch = ignore;
   }
 
 (* Shape of the accelerator hierarchy behind one guard.  [No_accel] leaves

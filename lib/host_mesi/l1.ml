@@ -43,6 +43,7 @@ type t = {
   sid : Group.id array; (* interned hot stat counters, indexed like [hot_stats] *)
   coverage : Group.t;
   covm : Coverage.matrix;
+  waker : Access.Waker.t;
 }
 
 (* Hot per-event stat counters, interned once at creation (PR 4). *)
@@ -218,7 +219,7 @@ let issue t (access : Access.t) ~on_done =
         else false
       end
 
-let cpu_port t = { Access.issue = (fun access ~on_done -> issue t access ~on_done) }
+let cpu_port t = Access.Waker.port t.waker (issue t)
 
 (* ------- Grant collection ------- *)
 
@@ -341,7 +342,7 @@ let handle_wb_ack t addr =
 
 let deliver t (msg : Msg.t) =
   let addr = msg.Msg.addr in
-  match msg.Msg.body with
+  (match msg.Msg.body with
   | Msg.L2_data { data; grant; acks } -> (
       visit t addr e_l2_data;
       match Tbe_table.find t.tbes addr with
@@ -365,7 +366,8 @@ let deliver t (msg : Msg.t) =
   | Msg.Wb_ack -> handle_wb_ack t addr
   | Msg.Get _ | Msg.Put_s | Msg.Put_m _ | Msg.Unblock | Msg.Recall_data _ | Msg.Recall_ack
   | Msg.Copyback _ | Msg.Fetch | Msg.Mem_data _ | Msg.Mem_wb _ | Msg.Mem_wb_ack ->
-      raise (Protocol_error (t.name ^ ": message not addressed to an L1"))
+      raise (Protocol_error (t.name ^ ": message not addressed to an L1")));
+  Access.Waker.wake t.waker
 
 let probe t addr =
   match (Cache_array.find t.array addr, Tbe_table.find t.tbes addr) with
@@ -420,7 +422,8 @@ let check_fingerprint t buf =
               | Some Msg.Grant_m -> "M")
               (match g.acks_expected with None -> -1 | Some n -> n)
               g.acks_got
-              (Format.asprintf "%a" Access.pp g.access)))
+              (Format.asprintf "%a" Access.pp g.access)));
+  if Access.Waker.blocked t.waker then Buffer.add_char buf 'w'
 
 let create ~engine ~net ~name ~node ~l2 ~sets ~ways ?(hit_latency = 1) ?(tbe_capacity = 16)
     () =
@@ -441,6 +444,7 @@ let create ~engine ~net ~name ~node ~l2 ~sets ~ways ?(hit_latency = 1) ?(tbe_cap
       sid = Array.map (Group.intern stats) hot_stats;
       coverage;
       covm = Coverage.intern_matrix coverage_space coverage;
+      waker = Access.Waker.create ();
     }
   in
   Net.register net node (fun ~src:_ msg -> deliver t msg);

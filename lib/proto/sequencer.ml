@@ -34,8 +34,7 @@ type t = {
   name : string;
   port : Access.port;
   max_outstanding : int;
-  retry_delay : int;
-  (* Waiting to issue: a growable ring buffer.  The retry path requeues at the
+  (* Waiting to issue: a growable ring buffer.  A rejection requeues at the
      head, so both ends push in O(1) with no per-element allocation. *)
   mutable pend : pending array;
   mutable head : int;
@@ -44,15 +43,15 @@ type t = {
   flight_addrs : Addr.t array; (* first [in_flight] entries are live *)
   mutable completed : int;
   mutable retries : int;
+  (* Cycle the cache last rejected the head, or -1.  While set, only the
+     port's wake-up can help the head, so completions and new requests do
+     not pump; the next attempt clears it and closes its [seq.retry] span. *)
+  mutable rejected_at : Engine.time;
   latency : Histogram.t;
   mutable pump_scheduled : bool;
-  (* At most one retry event is pending per sequencer: a rejection while one
-     is already scheduled leaves it alone (see the contract in the .mli). *)
-  mutable retry_scheduled : bool;
-  (* Event thunks, built once per sequencer. *)
+  (* Event thunk, built once per sequencer. *)
   pump_event : unit -> unit;
-  retry_event : unit -> unit;
-  (* Choice tag for pump/retry events (model checker); [Engine.no_tag] outside
+  (* Choice tag for pump events (model checker); [Engine.no_tag] outside
      check mode.  Set to the served cache's controller id so reorderings
      against that cache's deliveries are never pruned. *)
   mutable check_tag : int;
@@ -121,6 +120,13 @@ let rec pump t =
   then begin
     let p = pop_front t in
     let addr = p.access.Access.addr in
+    if t.rejected_at >= 0 then begin
+      if Spans.on () then
+        Spans.record Spans.Seq_retry (span_txn p.access) ~span:p.span
+          ~addr:(Addr.to_int addr) ~ts:t.rejected_at
+          ~dur:(Engine.now t.engine - t.rejected_at);
+      t.rejected_at <- -1
+    end;
     if t.port.Access.issue p.access ~on_done:p.on_done then begin
       t.flight_addrs.(t.in_flight) <- addr;
       t.in_flight <- t.in_flight + 1;
@@ -136,22 +142,16 @@ let rec pump t =
       pump t
     end
     else begin
-      (* Cache rejected: requeue at the head and retry after a delay, unless
-         a retry is already pending. *)
+      (* Cache rejected: requeue at the head and wait.  The port's watcher
+         ([schedule_pump]) brings the sequencer back once the cache has
+         changed. *)
       t.retries <- t.retries + 1;
-      if Spans.on () then
-        Spans.record Spans.Seq_retry (span_txn p.access) ~span:p.span
-          ~addr:(Addr.to_int addr) ~ts:(Engine.now t.engine) ~dur:t.retry_delay;
+      t.rejected_at <- Engine.now t.engine;
       if Trace.on () then
         Trace.stall ~cycle:(Engine.now t.engine) ~controller:t.name
           ~addr:(Addr.to_int addr)
-          ~why:(Printf.sprintf "cache rejected %s; retry in %d" (access_text p.access)
-                  t.retry_delay);
-      push_front t p;
-      if not t.retry_scheduled then begin
-        t.retry_scheduled <- true;
-        Engine.schedule t.engine ~delay:t.retry_delay ~tag:t.check_tag t.retry_event
-      end
+          ~why:(Printf.sprintf "cache rejected %s; waiting for a wake-up" (access_text p.access));
+      push_front t p
     end
   end
 
@@ -178,24 +178,19 @@ let finish t p value =
       ~text:(Printf.sprintf "done %s (latency %d)" (access_text p.access) lat)
       ();
   p.on_complete value ~latency:lat;
-  schedule_pump t
+  if t.rejected_at < 0 then schedule_pump t
 
 let on_pump t =
   t.pump_scheduled <- false;
   pump t
 
-let on_retry t =
-  t.retry_scheduled <- false;
-  pump t
-
-let create ~engine ~name ~port ?(max_outstanding = 16) ?(retry_delay = 3) () =
+let create ~engine ~name ~port ?(max_outstanding = 16) () =
   let rec t =
     {
       engine;
       name;
       port;
       max_outstanding;
-      retry_delay;
       pend = Array.make 16 dummy_pending;
       head = 0;
       queued = 0;
@@ -203,14 +198,14 @@ let create ~engine ~name ~port ?(max_outstanding = 16) ?(retry_delay = 3) () =
       flight_addrs = Array.make (max max_outstanding 1) (Addr.block 0);
       completed = 0;
       retries = 0;
+      rejected_at = -1;
       latency = Histogram.create (name ^ ".latency");
       pump_scheduled = false;
-      retry_scheduled = false;
       pump_event = (fun () -> on_pump t);
-      retry_event = (fun () -> on_retry t);
       check_tag = Engine.no_tag;
     }
   in
+  port.Access.watch (fun () -> schedule_pump t);
   if Spans.on () then Spans.add_gauge ~name:(name ^ ".outstanding") (fun () -> t.in_flight + t.queued);
   (* The watchdog's starvation rule pairs each port's [.outstanding] gauge
      (shared with the span layer above) with a progress signal: a port that
@@ -225,7 +220,7 @@ let request t access ~on_complete =
   let p = { access; issued_at = Engine.now t.engine; span; on_complete; on_done = ignore } in
   p.on_done <- (fun value -> finish t p value);
   push_back t p;
-  schedule_pump t
+  if t.rejected_at < 0 then schedule_pump t
 
 (* ---- model-checker support ---- *)
 
@@ -258,5 +253,5 @@ let check_fingerprint t buf =
     (fun a -> Buffer.add_string buf (Printf.sprintf "f%d" (Addr.to_int a)))
     live;
   if t.pump_scheduled then Buffer.add_char buf 'P';
-  if t.retry_scheduled then Buffer.add_char buf 'R';
+  if t.rejected_at >= 0 then Buffer.add_char buf 'W';
   Buffer.add_char buf ';'

@@ -19,7 +19,7 @@ let check_state msg expected actual = Alcotest.(check string) msg (state_pp expe
 
 (* A bare L1 whose lower port records messages, so tests control event order
    exactly (no network, no home). *)
-let bare_l1 ?(flavor = L1.Mesi) ?(sets = 1) ?(ways = 4) () =
+let bare_l1 ?(flavor = L1.Mesi) ?(sets = 1) ?(ways = 4) ?mshr_limit () =
   let engine = Engine.create () in
   let sent = ref [] in
   let lower =
@@ -28,7 +28,7 @@ let bare_l1 ?(flavor = L1.Mesi) ?(sets = 1) ?(ways = 4) () =
       Lower_port.send_resp = (fun a r -> sent := Resp (a, r) :: !sent);
     }
   in
-  let l1 = L1.create ~engine ~name:"l1" ~flavor ~sets ~ways ~lower () in
+  let l1 = L1.create ~engine ~name:"l1" ~flavor ~sets ~ways ?mshr_limit ~lower () in
   (engine, l1, sent)
 
 let pop_sent sent =
@@ -419,6 +419,59 @@ let prop_random_workloads =
         ~ops:200;
       true)
 
+(* --- wake-on-release: the test delivers every message, so each wake is
+   pinned to the delivery (or flush) that resolves the rejection --- *)
+
+let test_wake_on_mshr_free () =
+  let engine, l1, _sent = bare_l1 ~mshr_limit:1 () in
+  issue_ok l1 (Access.load a0);
+  let w = Wake_probe.issue engine (L1.cpu_port l1) (Access.load a1) in
+  check_int "rejected: MSHR full" 1 w.rejections;
+  ignore (Engine.run engine);
+  check_bool "no wake before the MSHR frees" false w.accepted;
+  grant l1 a0 (Xg_iface.Data_s (Data.token 1));
+  ignore (Engine.run engine);
+  check_bool "woken on the grant" true w.accepted;
+  check_int "one rejection" 1 w.rejections
+
+let test_wake_on_wb_ack () =
+  let engine, l1, _sent = bare_l1 ~ways:1 () in
+  issue_ok l1 (Access.load a0);
+  grant l1 a0 (Xg_iface.Data_e (Data.token 1));
+  ignore (Engine.run engine);
+  let w = Wake_probe.issue engine (L1.cpu_port l1) (Access.load a1) in
+  check_int "rejected: victim writing back" 1 w.rejections;
+  check_state "victim busy" `B (L1.probe l1 a0);
+  ignore (Engine.run engine);
+  check_bool "no wake before the WbAck" false w.accepted;
+  grant l1 a0 Xg_iface.Wb_ack;
+  ignore (Engine.run engine);
+  check_bool "woken on the WbAck" true w.accepted
+
+let test_wake_on_flush () =
+  (* A device reset drops the busy line without any delivery for it. *)
+  let engine, l1, _sent = bare_l1 () in
+  issue_ok l1 (Access.load a0);
+  let w = Wake_probe.issue engine (L1.cpu_port l1) (Access.store a0 (Data.token 2)) in
+  check_int "rejected: block busy" 1 w.rejections;
+  L1.flush l1;
+  ignore (Engine.run engine);
+  check_bool "woken by the flush" true w.accepted
+
+let test_no_wake_without_rejection () =
+  let engine, l1, _sent = bare_l1 () in
+  let woken = ref 0 in
+  (L1.cpu_port l1).Access.watch (fun () -> incr woken);
+  issue_ok l1 (Access.load a0);
+  grant l1 a0 (Xg_iface.Data_s (Data.token 1));
+  L1.flush l1;
+  ignore (Engine.run engine);
+  check_int "watcher never called" 0 !woken
+
+let test_second_watcher_raises () =
+  let _, l1, _sent = bare_l1 () in
+  Wake_probe.second_watcher_raises (fun () -> L1.cpu_port l1)
+
 let tests =
   [
     ( "accel.l1.table1",
@@ -447,5 +500,13 @@ let tests =
         Alcotest.test_case "Put/Invalidate race" `Quick test_put_invalidate_race;
         Alcotest.test_case "random workload, all flavors" `Quick test_random_workload_all_flavors;
         QCheck_alcotest.to_alcotest prop_random_workloads;
+      ] );
+    ( "accel.l1.wake",
+      [
+        Alcotest.test_case "MSHR free wakes" `Quick test_wake_on_mshr_free;
+        Alcotest.test_case "WbAck wakes" `Quick test_wake_on_wb_ack;
+        Alcotest.test_case "flush wakes" `Quick test_wake_on_flush;
+        Alcotest.test_case "no wake without a rejection" `Quick test_no_wake_without_rejection;
+        Alcotest.test_case "second watcher raises" `Quick test_second_watcher_raises;
       ] );
   ]

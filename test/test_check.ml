@@ -29,10 +29,10 @@ let explore_counts name ~states ~transitions =
 
 (* Counts double-pinned here and in MODEL_BASELINE.json: a drift that slips
    past tools/check_model.sh still fails the unit suite (and vice versa). *)
-let test_hammer_full_counts () = explore_counts "hammer/full" ~states:83 ~transitions:160
-let test_mesi_full_counts () = explore_counts "mesi/full" ~states:12 ~transitions:14
-let test_hammer_trans_counts () = explore_counts "hammer/trans" ~states:25 ~transitions:30
-let test_mesi_trans_counts () = explore_counts "mesi/trans" ~states:12 ~transitions:14
+let test_hammer_full_counts () = explore_counts "hammer/full" ~states:49 ~transitions:75
+let test_mesi_full_counts () = explore_counts "mesi/full" ~states:9 ~transitions:8
+let test_hammer_trans_counts () = explore_counts "hammer/trans" ~states:18 ~transitions:20
+let test_mesi_trans_counts () = explore_counts "mesi/trans" ~states:9 ~transitions:8
 
 (* A test-only invariant hook that trips after a fixed number of evaluations:
    the checker must surface it as a violation whose trail, replayed through
@@ -117,6 +117,23 @@ let prop_sharded_byte_identical =
       let seq = C.explore plan in
       let shard = C.explore ~workers plan in
       C.summary_to_string seq.C.summary = C.summary_to_string shard.C.summary)
+
+(* The same identity on a jittered plan, where it needs the driver
+   sequencers in the fingerprint: without them a state whose only change is
+   a driver's pump looks like its predecessor, and the sharded and
+   sequential searches prune different subtrees (one transition apart on
+   this plan). *)
+let test_sharded_jittered () =
+  let plan =
+    {
+      (C.tiny_plan ~jitter:true ~host:Config.Hammer ~variant:Config.Full_state ()) with
+      C.ops =
+        [ (C.Cpu 0, [ Access.load (Addr.block 0) ]); (C.Accel 0, [ Access.load (Addr.block 1) ]) ];
+    }
+  in
+  let seq = C.explore plan and shard = C.explore ~workers:2 plan in
+  Alcotest.(check string) "summaries" (C.summary_to_string seq.C.summary)
+    (C.summary_to_string shard.C.summary)
 
 (* ---- snapshot-symmetry fixes (each with its own unit test) ----
 
@@ -246,6 +263,8 @@ let tests =
         Alcotest.test_case "no visited-set digest collisions" `Quick
           test_no_digest_collisions;
         QCheck_alcotest.to_alcotest prop_sharded_byte_identical;
+        Alcotest.test_case "sharded = sequential on a jittered plan" `Quick
+          test_sharded_jittered;
       ] );
     ( "check-symmetry",
       [

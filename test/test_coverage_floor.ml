@@ -20,6 +20,11 @@ module Coverage = Xguard_trace.Coverage
 module Rng = Xguard_sim.Rng
 module C = Xguard_check.Checker
 module Group = Xguard_stats.Counter.Group
+module Engine = Xguard_sim.Engine
+
+(* Events each fuzz run fired and whether it deadlocked, by config and pool
+   (see [test_fuzz_drains]). *)
+let fuzz_events : (string * int * bool) list ref = ref []
 
 let stress_configs =
   [
@@ -63,7 +68,17 @@ let collect_runs () =
          rows, Disjoint the no-access (T_NA) rows. *)
       List.iter
         (fun pool ->
+          let before = Engine.events_fired_here () in
           let o = Fuzz.run cfg ~pool ~cpu_ops:150 ~chaos_duration:20_000 () in
+          let label =
+            Printf.sprintf "%s %s" (Config.name cfg)
+              (match pool with
+              | Fuzz.Shared_rw -> "shared-rw"
+              | Fuzz.Shared_ro -> "shared-ro"
+              | Fuzz.Disjoint -> "disjoint")
+          in
+          fuzz_events :=
+            (label, Engine.events_fired_here () - before, o.Fuzz.deadlocked) :: !fuzz_events;
           runs := o.Fuzz.coverage_sets :: !runs)
         [ Fuzz.Shared_rw; Fuzz.Shared_ro; Fuzz.Disjoint ])
     fuzz_configs;
@@ -201,11 +216,26 @@ let test_no_strays () =
             (String.concat ", " (List.map (fun (k, n) -> Printf.sprintf "%s (x%d)" k n) strays)))
     floors
 
+(* Every fuzz run here must end well below the random tester's 50M-event
+   watchdog: a completed run fires ~20k events, and a deadlocked one must
+   drain rather than poll its blocked sequencers up to the limit (~6 s for
+   one mesi/xg-trans-1lvl shared-rw run; see also "a deadlocked run drains"
+   in test_safety.ml). *)
+let test_fuzz_drains () =
+  ignore (Lazy.force reports);
+  List.iter
+    (fun (label, events, deadlocked) ->
+      Printf.printf "%s: %d events%s\n" label events (if deadlocked then ", deadlocked" else "");
+      if events >= 1_000_000 then
+        Alcotest.failf "%s fired %d events: polling instead of draining" label events)
+    (List.rev !fuzz_events)
+
 let tests =
   [
     ( "coverage-floor",
       [
         Alcotest.test_case "per-controller transition floors" `Slow test_floors;
         Alcotest.test_case "no transitions outside registered spaces" `Slow test_no_strays;
+        Alcotest.test_case "fuzz runs drain below the event watchdog" `Slow test_fuzz_drains;
       ] );
   ]

@@ -114,6 +114,31 @@ let test_l1_puts_tracked () =
   | `Sharers 1 -> ()
   | `Owned _ | `Sharers _ | `No_l1 | `Absent -> Alcotest.fail "expected exactly one sharer")
 
+let test_wake_on_writeback_ack () =
+  let sys = make ~l1_sets:1 ~l1_ways:1 () in
+  do_store sys 0 a0 9;
+  let port = M.L1.cpu_port (Sys_b.cpus sys).(0) in
+  let w = Wake_probe.issue (Sys_b.engine sys) port (Access.load (Addr.block 1)) in
+  check_int "rejected while the PutM is open" 1 w.rejections;
+  run sys;
+  check_int "writeback completed" 1
+    (Xguard_stats.Counter.Group.get (M.L1.stats (Sys_b.cpus sys).(0)) "writeback_complete");
+  check_bool "woken access completed" true w.completed
+
+let test_wake_on_tbe_free () =
+  let sys = make () in
+  let port = M.L1.cpu_port (Sys_b.cpus sys).(0) in
+  check_bool "load accepted" true (port.Access.issue (Access.load a0) ~on_done:ignore);
+  let w = Wake_probe.issue (Sys_b.engine sys) port (Access.store a0 (Data.token 3)) in
+  check_int "rejected while the load is open" 1 w.rejections;
+  run sys;
+  check_bool "woken store completed" true w.completed;
+  check_state "store landed" `M (Sys_b.cpus sys).(0) a0
+
+let test_second_watcher_raises () =
+  let sys = make () in
+  Wake_probe.second_watcher_raises (fun () -> M.L1.cpu_port (Sys_b.cpus sys).(0))
+
 let test_l2_replacement_back_invalidates () =
   (* A tiny L2 forces replacement of a line whose owner is an L1: the L2 must
      recall it (inclusivity) and write dirty data to memory. *)
@@ -191,6 +216,12 @@ let tests =
         Alcotest.test_case "PutS shrinks sharers" `Quick test_l1_puts_tracked;
         Alcotest.test_case "L2 replacement back-invalidates" `Quick
           test_l2_replacement_back_invalidates;
+      ] );
+    ( "mesi.wake",
+      [
+        Alcotest.test_case "writeback ack wakes" `Quick test_wake_on_writeback_ack;
+        Alcotest.test_case "TBE free wakes" `Quick test_wake_on_tbe_free;
+        Alcotest.test_case "second watcher raises" `Quick test_second_watcher_raises;
       ] );
     ( "mesi.stress",
       [

@@ -106,21 +106,27 @@ let test_memory_defaults_and_writes () =
   check_int "written value" 99 (Memory_model.read m a);
   check_int "touched" 1 (List.length (Memory_model.touched m))
 
-(* A fake cache port: rejects the first [reject] attempts per access, then
-   completes after [latency] cycles with a canned value. *)
+(* A fake cache port: rejects the first [reject] attempts per access, waking
+   its watcher 2 cycles after each rejection, then completes after [latency]
+   cycles with a canned value. *)
 let fake_port engine ~reject ~latency =
   let attempts = Hashtbl.create 8 in
+  let watcher = ref ignore in
   {
     Access.issue =
       (fun access ~on_done ->
         let addr = access.Access.addr in
         let n = match Hashtbl.find_opt attempts addr with Some n -> n | None -> 0 in
         Hashtbl.replace attempts addr (n + 1);
-        if n < reject then false
+        if n < reject then begin
+          Engine.schedule engine ~delay:2 (fun () -> !watcher ());
+          false
+        end
         else begin
           Engine.schedule engine ~delay:latency (fun () -> on_done (Data.token 7));
           true
         end);
+    watch = (fun f -> watcher := f);
   }
 
 let test_sequencer_completes_and_measures () =
@@ -142,8 +148,7 @@ let test_sequencer_completes_and_measures () =
 let test_sequencer_retries_on_reject () =
   let e = Engine.create () in
   let seq =
-    Sequencer.create ~engine:e ~name:"seq" ~port:(fake_port e ~reject:3 ~latency:1)
-      ~retry_delay:2 ()
+    Sequencer.create ~engine:e ~name:"seq" ~port:(fake_port e ~reject:3 ~latency:1) ()
   in
   let done_ = ref false in
   Sequencer.request seq (Access.load (Addr.block 1)) ~on_complete:(fun _ ~latency:_ ->
@@ -166,6 +171,7 @@ let test_sequencer_serializes_same_address () =
               decr in_flight;
               on_done Data.zero);
           true);
+      watch = ignore;
     }
   in
   let seq = Sequencer.create ~engine:e ~name:"seq" ~port () in
@@ -190,6 +196,7 @@ let test_sequencer_parallel_distinct_addresses () =
               decr in_flight;
               on_done Data.zero);
           true);
+      watch = ignore;
     }
   in
   let seq = Sequencer.create ~engine:e ~name:"seq" ~port ~max_outstanding:4 () in
@@ -199,46 +206,67 @@ let test_sequencer_parallel_distinct_addresses () =
   ignore (Engine.run e);
   check_int "distinct addresses overlap" 4 !max_in_flight
 
-let test_sequencer_one_pending_retry () =
+let test_sequencer_wake_on_release () =
   (* Four accepted accesses complete at cycles 10..40; a fifth is rejected
-     until cycle 60.  Each completion pumps the blocked head once, but must
-     not start another retry chain next to the pending one. *)
+     until the port wakes its watcher at cycle 60.  Completions must not
+     re-poll the rejected head: the sequencer schedules nothing while it
+     waits, and the access issues on the wake-up. *)
   let e = Engine.create () in
-  let retry_delay = 3 and blocked_until = 60 in
+  let wake_at = 60 in
+  let released = ref false and watcher = ref ignore and issued_at = ref (-1) in
   let in_flight = ref 0 in
   let port =
     {
       Access.issue =
         (fun access ~on_done ->
           let a = Addr.to_int access.Access.addr in
-          if a = 5 && Engine.now e < blocked_until then false
+          if a = 5 && not !released then false
           else begin
+            if a = 5 then issued_at := Engine.now e;
             incr in_flight;
             Engine.schedule e ~delay:(10 * a) (fun () ->
                 decr in_flight;
                 on_done (Data.token 7));
             true
           end);
+      watch = (fun f -> watcher := f);
     }
   in
-  let seq = Sequencer.create ~engine:e ~name:"seq" ~port ~retry_delay () in
+  let seq = Sequencer.create ~engine:e ~name:"seq" ~port () in
+  Engine.schedule e ~delay:wake_at (fun () ->
+      released := true;
+      !watcher ());
   for i = 1 to 5 do
     Sequencer.request seq (Access.load (Addr.block i)) ~on_complete:(fun _ ~latency:_ -> ())
   done;
+  (* Besides the in-flight completions, only the port's own wake-up event may
+     be pending while the access is blocked. *)
   let worst_excess = ref 0 in
   while Engine.run e ~max_events:1 <> Engine.Drained do
-    worst_excess := max !worst_excess (Engine.pending e - !in_flight)
+    if not !released then
+      worst_excess := max !worst_excess (Engine.pending e - !in_flight - 1)
   done;
   check_int "all completed" 5 (Sequencer.completed seq);
-  let completions = 4 in
+  check_int "blocked access issues on the wake-up" wake_at !issued_at;
   check_bool
-    (Printf.sprintf "%d retries <= one per delay + one per completion"
-       (Sequencer.retries seq))
+    (Printf.sprintf "%d retries <= 2" (Sequencer.retries seq))
     true
-    (Sequencer.retries seq <= (blocked_until / retry_delay) + completions + 1);
-  check_bool
-    (Printf.sprintf "pending events <= in flight + 2 (worst excess %d)" !worst_excess)
-    true (!worst_excess <= 2)
+    (Sequencer.retries seq <= 2);
+  check_int "no sequencer event pending while blocked" 0 !worst_excess
+
+let test_sequencer_never_woken_drains () =
+  (* A port that rejects and never wakes: the run drains instead of polling,
+     and the access stays queued. *)
+  let e = Engine.create () in
+  let port = { Access.issue = (fun _ ~on_done:_ -> false); watch = ignore } in
+  let seq = Sequencer.create ~engine:e ~name:"seq" ~port () in
+  let done_ = ref false in
+  Sequencer.request seq (Access.load (Addr.block 1)) ~on_complete:(fun _ ~latency:_ ->
+      done_ := true);
+  check_bool "drains" true (Engine.run e ~max_events:1000 = Engine.Drained);
+  check_bool "never completes" false !done_;
+  check_int "still queued" 1 (Sequencer.outstanding seq);
+  check_int "rejected once" 1 (Sequencer.retries seq)
 
 let tests =
   [
@@ -266,6 +294,7 @@ let tests =
           test_sequencer_serializes_same_address;
         Alcotest.test_case "parallel distinct addresses" `Quick
           test_sequencer_parallel_distinct_addresses;
-        Alcotest.test_case "one pending retry" `Quick test_sequencer_one_pending_retry;
+        Alcotest.test_case "wake on release" `Quick test_sequencer_wake_on_release;
+        Alcotest.test_case "never woken: drains" `Quick test_sequencer_never_woken_drains;
       ] );
   ]

@@ -100,9 +100,9 @@ let test_mesi_uses_put_s () =
   check_int "nothing suppressed" 0 r.Perf.put_s_suppressed
 
 let test_streaming_event_budget () =
-  (* A blocked accelerator access is retried every [retry_delay] cycles and on
-     each completion, never by several overlapping retry chains, so a
-     default-length stream costs tens of events per access, not thousands. *)
+  (* A blocked accelerator access waits for its cache to wake the port and
+     never polls, so a default-length stream costs tens of events per access
+     (21.7), not thousands. *)
   let w = W.streaming () in
   let before = Xguard_sim.Engine.events_fired_here () in
   let r = Perf.run (Config.make Config.Hammer (Config.Xg_one_level Config.Full_state)) w in
