@@ -27,6 +27,7 @@ module Tester = Xguard_harness.Random_tester
 module Pool = Xguard_parallel.Pool
 module Table = Xguard_stats.Table
 module Spans = Xguard_obs.Spans
+module Campaign = Xguard_harness.Campaign
 
 let print_report (r : Experiments.report) =
   Printf.printf "==============================================================\n";
@@ -321,27 +322,25 @@ let () =
          byte-identical for any -j (wall times in --json excepted). *)
       let results =
         Pool.map ~workers:jobs ~jobs:(Array.length runs) (fun i ->
-            let _, f = runs.(i) in
-            let rec_ = if spans then Some (Spans.create ()) else None in
-            let armed g = match rec_ with None -> g () | Some rc -> Spans.with_armed rc g in
+            let id, f = runs.(i) in
             let ev0 = Engine.events_fired_here () in
             let t0 = Unix.gettimeofday () in
-            let r = with_tracing ~traced (fun () -> armed (fun () -> f ~quick ())) in
+            let r, seen =
+              with_tracing ~traced (fun () ->
+                  Campaign.observe { Campaign.no_observers with spans } ~label:id (fun () ->
+                      f ~quick ()))
+            in
             let wall = Unix.gettimeofday () -. t0 in
             (* With --spans, the attribution table rides along in the report
                so it reaches both stdout and the --json trajectory file. *)
             let r =
-              match rec_ with
+              match
+                Spans.Summary.attribution_table
+                  ~title:(Printf.sprintf "Latency attribution (cycles): %s" r.Experiments.id)
+                  seen.Campaign.span_summary
+              with
+              | Some t -> { r with Experiments.tables = r.Experiments.tables @ [ t ] }
               | None -> r
-              | Some rc -> (
-                  match
-                    Spans.Summary.attribution_table
-                      ~title:
-                        (Printf.sprintf "Latency attribution (cycles): %s" r.Experiments.id)
-                      (Spans.summary rc)
-                  with
-                  | Some t -> { r with Experiments.tables = r.Experiments.tables @ [ t ] }
-                  | None -> r)
             in
             (r, wall, Engine.events_fired_here () - ev0))
       in

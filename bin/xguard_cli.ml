@@ -7,28 +7,32 @@
      campaign — sharded stress/fuzz sweep over configurations × seeds
      report   — regenerate a reproduced table/figure (same as bench/main.exe)
      list     — enumerate configurations, workloads and experiments
+     check    — exhaustively model-check tiny configurations
 
-   run/stress/fuzz accept --trace (arm the protocol event ring buffer and
-   dump the per-address trail plus replay seed on failure), --trace-out FILE
-   (write that trail to a file) and, for stress/fuzz/campaign, --coverage
-   (print the per-controller state x event transition-coverage matrices).
+   stress, fuzz and campaign are one pipeline (Xguard_harness.Campaign): this
+   file only turns flags into jobs and renders what comes back.  stress runs
+   one job per seed (--seed, --seed+1, ...), fuzz likewise, campaign one per
+   configuration x derived seed; Campaign.run_jobs executes them on -j N
+   domains and returns the results in job order, and Campaign.merge folds
+   them, so output is byte-identical for any -j; only wall-clock changes.
 
-   stress, fuzz and campaign accept -j N to fan their independent runs out
-   over N domains (Xguard_parallel.Pool).  Results are merged in job order,
-   so the output is byte-identical for any -j; only wall-clock changes.
-   --trace requires -j 1 (the trace ring buffer is armed process-wide).
+   The flags the three share come in two terms: the system under test
+   (--config/--topology, link faults, recovery and hang budgets) and the
+   observers (--trace, --trace-out, --coverage, --spans, the metrics flags).
+   --trace dumps each failing run's per-address event trail with the command
+   that replays it; --trace-out FILE writes every trail of the command to
+   FILE, in job order.  --trace requires -j 1 (the trace ring buffer is armed
+   process-wide).
 *)
 
 open Cmdliner
 
 module Config = Xguard_harness.Config
-module System = Xguard_harness.System
 module Tester = Xguard_harness.Random_tester
 module Fuzz = Xguard_harness.Fuzz_tester
 module Perf = Xguard_harness.Perf_runner
 module Experiments = Xguard_harness.Experiments
 module W = Xguard_workload.Workload
-module Rng = Xguard_sim.Rng
 module Xg = Xguard_xg
 module Trace = Xguard_trace.Trace
 module Coverage = Xguard_trace.Coverage
@@ -57,14 +61,6 @@ let config_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
-let with_config name seed f =
-  match find_config name with
-  | None ->
-      Printf.eprintf "unknown configuration %S\nknown: %s\n" name
-        (String.concat ", " config_names);
-      exit 1
-  | Some cfg -> f { cfg with Config.seed }
-
 (* ---- multi-accelerator topologies ---- *)
 
 module Topology = Xguard_harness.Topology
@@ -85,14 +81,148 @@ let parse_topology spec =
       Printf.eprintf "bad --topology %S: %s\n" spec e;
       exit 1
 
-(* [--topology] takes precedence over [--config]; both paths deliver one
-   Config.t, so everything downstream is topology-agnostic. *)
-let with_system_config ~topology name seed f =
+(* [--topology] takes precedence over [--config]; both paths deliver
+   Config.t values, so everything downstream is topology-agnostic.  [all]
+   admits the campaign's "all" (the 12-configuration matrix). *)
+let system_configs ?(all = false) ~topology name =
   match topology with
-  | Some spec -> f { (Config.of_topology (parse_topology spec)) with Config.seed }
-  | None -> with_config name seed f
+  | Some spec -> [ Config.of_topology (parse_topology spec) ]
+  | None when all && name = "all" -> Config.all_configurations ()
+  | None -> (
+      match find_config name with
+      | Some c -> [ c ]
+      | None ->
+          Printf.eprintf "unknown configuration %S\nknown: %s%s\n" name
+            (if all then "all, " else "")
+            (String.concat ", " config_names);
+          exit 1)
 
-(* ---- tracing & coverage plumbing ---- *)
+(* ---- the system under test: link faults, recovery and hang budgets ---- *)
+
+let probability name doc = Arg.(value & opt float 0.0 & info [ name ] ~docv:"P" ~doc)
+
+let fault_drop_arg =
+  probability "fault-drop"
+    "Drop each XG-link message with probability $(docv); any non-zero fault \
+     probability also enables the link reliability layer."
+
+let fault_dup_arg =
+  probability "fault-dup" "Duplicate each XG-link message with probability $(docv)."
+
+let fault_corrupt_arg =
+  probability "fault-corrupt"
+    "Corrupt each XG-link message's payload with probability $(docv)."
+
+let fault_delay_arg =
+  probability "fault-delay"
+    "Delay each XG-link message by a random 1..32 extra cycles with probability $(docv)."
+
+let fault_script_arg =
+  Arg.(value & opt_all string []
+       & info [ "fault-script" ] ~docv:"SPEC"
+           ~doc:"Deterministic fault $(b,KIND:N[:NEEDLE]) — hit the Nth link message \
+                 whose trace text contains NEEDLE with KIND \
+                 (drop|dup|corrupt|kill|delay@CYCLES).  Repeatable; implies the \
+                 reliability layer.")
+
+let reliable_link_flag =
+  Arg.(value & flag
+       & info [ "reliable-link" ]
+           ~doc:"Run the link's seq+checksum reliability layer even with no \
+                 injected faults (for overhead measurements).")
+
+let recover_flag =
+  Arg.(value & flag
+       & info [ "recover" ]
+           ~doc:"After a quarantine, reset the link and re-admit the accelerator \
+                 on probation instead of killing it for good (default recovery \
+                 policy; see DESIGN.md section 12).")
+
+let recover_lives_arg =
+  Arg.(value & opt (some int) None
+       & info [ "recover-lives" ] ~docv:"K"
+           ~doc:"Permanently kill the link after $(docv) quarantines.  Implies \
+                 $(b,--recover).")
+
+let cycles name doc = Arg.(value & opt (some int) None & info [ name ] ~docv:"CYCLES" ~doc)
+
+let budget_req_arg =
+  cycles "budget-req"
+    "Hang budget for the request->decision phase: an accelerator request the guard \
+     has not decided within $(docv) cycles counts as a link fault."
+
+let budget_inv_arg =
+  cycles "budget-inv"
+    "Hang budget for the invalidate->ack phase.  Trips strictly before the coarse \
+     G2c timeout when set below it."
+
+let budget_fetch_arg = cycles "budget-fetch" "Hang budget for the host fetch->data phase."
+
+type system = {
+  config : string;
+  topology : string option;
+  apply : Config.t -> Config.t;  (* link faults, recovery, budgets *)
+  flags : string;  (* the same options as typed, for replay commands *)
+}
+
+(* The configuration or topology plus the fault and recovery knobs.  Every
+   knob defaults to the historical behaviour: no flag, no config change,
+   byte-identical runs. *)
+let system_term config_arg =
+  let pack config topology drop dup corrupt delay scripts reliable recover lives breq
+      binv bfetch =
+    let scripts_parsed =
+      List.map
+        (fun s ->
+          match Network.Fault.script_of_string s with
+          | Ok sc -> sc
+          | Error e ->
+              Printf.eprintf "bad --fault-script %S: %s\n" s e;
+              exit 1)
+        scripts
+    in
+    let f = { Network.Fault.drop; duplicate = dup; corrupt; delay; max_delay = 32 } in
+    let apply cfg =
+      let cfg =
+        if reliable || scripts_parsed <> [] || Network.Fault.active f then
+          { cfg with Config.link_faults = Some f; Config.link_fault_scripts = scripts_parsed }
+        else cfg
+      in
+      let cfg =
+        if recover || lives <> None then
+          { cfg with
+            Config.recovery = Some (Xg.Xg_core.make_recovery ?permakill_after:lives ()) }
+        else cfg
+      in
+      if breq <> None || binv <> None || bfetch <> None then
+        { cfg with
+          Config.budgets =
+            { Xg.Xg_core.req_decide = breq; inv_ack = binv; fetch_data = bfetch } }
+      else cfg
+    in
+    let prob name p = if p = 0.0 then [] else [ name; string_of_float p ] in
+    let int name = function None -> [] | Some n -> [ name; string_of_int n ] in
+    let flags =
+      (match topology with None -> [] | Some t -> [ "--topology"; Filename.quote t ])
+      @ prob "--fault-drop" drop @ prob "--fault-dup" dup @ prob "--fault-corrupt" corrupt
+      @ prob "--fault-delay" delay
+      @ List.concat_map (fun s -> [ "--fault-script"; Filename.quote s ]) scripts
+      @ (if reliable then [ "--reliable-link" ] else [])
+      @ (if recover then [ "--recover" ] else [])
+      @ int "--recover-lives" lives @ int "--budget-req" breq @ int "--budget-inv" binv
+      @ int "--budget-fetch" bfetch
+    in
+    { config; topology; apply; flags = String.concat "" (List.map (( ^ ) " ") flags) }
+  in
+  Term.(const pack $ config_arg $ topology_arg $ fault_drop_arg $ fault_dup_arg
+        $ fault_corrupt_arg $ fault_delay_arg $ fault_script_arg $ reliable_link_flag
+        $ recover_flag $ recover_lives_arg $ budget_req_arg $ budget_inv_arg
+        $ budget_fetch_arg)
+
+(* stress and fuzz run one configuration. *)
+let system_config sys = sys.apply (List.hd (system_configs ~topology:sys.topology sys.config))
+
+(* ---- observers: trace, coverage, spans, metrics ---- *)
 
 let trace_flag =
   Arg.(value & flag
@@ -110,11 +240,6 @@ let coverage_flag =
        & info [ "coverage" ]
            ~doc:"Print per-controller (state x event) transition-coverage matrices.")
 
-let make_trace ~trace ~trace_out =
-  if trace || trace_out <> None then Some (Trace.create ~capacity:8192 ()) else None
-
-(* ---- transaction spans (run/stress/fuzz) ---- *)
-
 let spans_flag =
   Arg.(value & flag
        & info [ "spans" ]
@@ -127,35 +252,6 @@ let spans_out_arg =
        & info [ "spans-out" ] ~docv:"FILE"
            ~doc:"Write the span timeline and sampler series as Chrome/Perfetto \
                  trace-event JSON to $(docv) (implies $(b,--spans)).")
-
-(* One recorder per pool job, armed on whichever domain runs it; recorders
-   come back with the results, summaries merge in job order, so span output
-   is byte-identical for any -j. *)
-let make_recorder ~spans ~spans_out =
-  if spans || spans_out <> None then
-    Some (Spans.create ~timeline:(spans_out <> None) ())
-  else None
-
-let with_spans rec_ f = match rec_ with None -> f () | Some r -> Spans.with_armed r f
-
-let print_span_summary sum =
-  match Spans.Summary.attribution_table sum with
-  | None -> ()
-  | Some t ->
-      print_string (Xguard_stats.Table.to_string t);
-      print_newline ();
-      let r = Spans.Summary.replaced sum and d = Spans.Summary.dropped sum in
-      if r > 0 || d > 0 then
-        Printf.printf "spans: %d crossings replaced, %d timeline/sample entries dropped\n" r d
-
-let emit_spans_out ~spans_out recs =
-  match spans_out with
-  | None -> ()
-  | Some file ->
-      Perfetto.write_file file recs;
-      Printf.printf "span timeline written to %s\n" file
-
-(* ---- streaming metrics, SLOs and the watchdog (run/stress/fuzz/campaign) ---- *)
 
 type metrics_opts = {
   m_out : string option;
@@ -215,33 +311,55 @@ let metrics_term =
   in
   Term.(const pack $ out $ prom $ slo $ wd)
 
-let parse_slo m =
-  match m.m_slo with
-  | None -> []
-  | Some spec -> (
-      match Slo.parse spec with
-      | Ok objectives -> objectives
-      | Error e ->
-          Printf.eprintf "bad --slo %S: %s\n" spec e;
-          exit 1)
+type observe = {
+  trace : bool;
+  trace_out : string option;
+  coverage : bool;
+  spans : bool;
+  mopts : metrics_opts;
+}
 
-(* Note each guard's availability on the armed recorder; called inside the
-   job, as the run's [now] only the outcome knows is handed in. *)
-let note_guard_avail (sys : System.t) ~now =
-  if Metrics.on () then
-    Array.iter
-      (fun (g : System.guard) ->
-        let guard = if g.System.g_id = "" then "xg" else "xg." ^ g.System.g_id in
-        Metrics.note_avail ~guard
-          ~down:(Xg.Xg_core.down_cycles g.System.g_core ~now)
-          ~now)
-      sys.System.guards
+let observe_term =
+  let pack trace trace_out coverage spans mopts = { trace; trace_out; coverage; spans; mopts } in
+  Term.(const pack $ trace_flag $ trace_out_arg $ coverage_flag $ spans_flag $ metrics_term)
+
+(* The trace ring buffer is armed process-wide (Trace.with_armed), so traced
+   sweeps must stay on one domain. *)
+let arm ?(jobs = 1) ?spans_out o =
+  let trace =
+    if o.trace || o.trace_out <> None then Some (Trace.create ~capacity:8192 ()) else None
+  in
+  if jobs > 1 && trace <> None then begin
+    Printf.eprintf "--trace/--trace-out require -j 1\n";
+    exit 1
+  end;
+  { Campaign.trace; coverage = o.coverage; spans = o.spans || spans_out <> None;
+    timeline = spans_out <> None; metrics = metrics_on o.mopts; watchdog = o.mopts.m_watchdog }
+
+let print_span_summary sum =
+  match Spans.Summary.attribution_table sum with
+  | None -> ()
+  | Some t ->
+      print_string (Xguard_stats.Table.to_string t);
+      print_newline ();
+      let r = Spans.Summary.replaced sum and d = Spans.Summary.dropped sum in
+      if r > 0 || d > 0 then
+        Printf.printf "spans: %d crossings replaced, %d timeline/sample entries dropped\n" r d
 
 (* The stdout metrics block, delimited so tools/check_metrics.sh can strip it
    and compare against a metrics-off run byte-for-byte. *)
 let emit_metrics ~mopts ~span_cells msum =
   if metrics_on mopts then begin
-    let objectives = parse_slo mopts in
+    let objectives =
+      match mopts.m_slo with
+      | None -> []
+      | Some spec -> (
+          match Slo.parse spec with
+          | Ok objectives -> objectives
+          | Error e ->
+              Printf.eprintf "bad --slo %S: %s\n" spec e;
+              exit 1)
+    in
     let verdicts =
       Slo.evaluate objectives ~span_cells
         ~guard_hists:(Metrics.Summary.hists msum)
@@ -272,8 +390,8 @@ let emit_metrics ~mopts ~span_cells msum =
     Option.iter
       (fun file ->
         let oc = open_out file in
-        Metrics.write_jsonl oc ~period:System.sampler_period ~span_cells ~verdicts
-          msum;
+        Metrics.write_jsonl oc ~period:Xguard_harness.System.sampler_period ~span_cells
+          ~verdicts msum;
         close_out oc;
         Printf.printf "metrics stream written to %s\n" file)
       mopts.m_out;
@@ -287,146 +405,34 @@ let emit_metrics ~mopts ~span_cells msum =
     print_string "== end metrics ==\n"
   end
 
-let jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Fan independent runs out over $(docv) worker domains (1 = serial). \
-                 Results are merged in job order, so output is byte-identical for \
-                 any $(docv).")
+(* Span tables, the --spans-out timeline and the metrics block of a run's
+   merged totals. *)
+let emit_observed (obs : Campaign.observers) ~mopts ~spans_out (t : Campaign.totals) =
+  if obs.Campaign.spans then print_span_summary t.Campaign.spans;
+  Option.iter
+    (fun file ->
+      Perfetto.write_file file t.Campaign.timelines;
+      Printf.printf "span timeline written to %s\n" file)
+    spans_out;
+  emit_metrics ~mopts ~span_cells:(Spans.Summary.cells t.Campaign.spans) t.Campaign.metrics
 
-(* ---- lossy-link fault injection (stress/fuzz/campaign) ---- *)
-
-let fault_drop_arg =
-  Arg.(value & opt float 0.0
-       & info [ "fault-drop" ] ~docv:"P"
-           ~doc:"Drop each XG-link message with probability $(docv); any non-zero \
-                 fault probability also enables the link reliability layer.")
-
-let fault_dup_arg =
-  Arg.(value & opt float 0.0
-       & info [ "fault-dup" ] ~docv:"P"
-           ~doc:"Duplicate each XG-link message with probability $(docv).")
-
-let fault_corrupt_arg =
-  Arg.(value & opt float 0.0
-       & info [ "fault-corrupt" ] ~docv:"P"
-           ~doc:"Corrupt each XG-link message's payload with probability $(docv).")
-
-let fault_delay_arg =
-  Arg.(value & opt float 0.0
-       & info [ "fault-delay" ] ~docv:"P"
-           ~doc:"Delay each XG-link message by a random 1..32 extra cycles with \
-                 probability $(docv).")
-
-let fault_script_arg =
-  Arg.(value & opt_all string []
-       & info [ "fault-script" ] ~docv:"SPEC"
-           ~doc:"Deterministic fault $(b,KIND:N[:NEEDLE]) — hit the Nth link message \
-                 whose trace text contains NEEDLE with KIND \
-                 (drop|dup|corrupt|kill|delay@CYCLES).  Repeatable; implies the \
-                 reliability layer.")
-
-let reliable_link_flag =
-  Arg.(value & flag
-       & info [ "reliable-link" ]
-           ~doc:"Run the link's seq+checksum reliability layer even with no \
-                 injected faults (for overhead measurements).")
-
-let apply_link_faults ~drop ~dup ~corrupt ~delay ~scripts ~reliable cfg =
-  let scripts =
-    List.map
-      (fun s ->
-        match Network.Fault.script_of_string s with
-        | Ok sc -> sc
-        | Error e ->
-            Printf.eprintf "bad --fault-script %S: %s\n" s e;
-            exit 1)
-      scripts
-  in
-  let f =
-    { Network.Fault.drop; duplicate = dup; corrupt; delay; max_delay = 32 }
-  in
-  if reliable || scripts <> [] || Network.Fault.active f then
-    { cfg with Config.link_faults = Some f; Config.link_fault_scripts = scripts }
-  else cfg
-
-(* ---- recovery policy and hang budgets (stress/fuzz/campaign) ---- *)
-
-let recover_flag =
-  Arg.(value & flag
-       & info [ "recover" ]
-           ~doc:"After a quarantine, reset the link and re-admit the accelerator \
-                 on probation instead of killing it for good (default recovery \
-                 policy; see DESIGN.md section 12).")
-
-let recover_lives_arg =
-  Arg.(value & opt (some int) None
-       & info [ "recover-lives" ] ~docv:"K"
-           ~doc:"Permanently kill the link after $(docv) quarantines.  Implies \
-                 $(b,--recover).")
-
-let budget_req_arg =
-  Arg.(value & opt (some int) None
-       & info [ "budget-req" ] ~docv:"CYCLES"
-           ~doc:"Hang budget for the request->decision phase: an accelerator \
-                 request the guard has not decided within $(docv) cycles counts \
-                 as a link fault.")
-
-let budget_inv_arg =
-  Arg.(value & opt (some int) None
-       & info [ "budget-inv" ] ~docv:"CYCLES"
-           ~doc:"Hang budget for the invalidate->ack phase.  Trips strictly \
-                 before the coarse G2c timeout when set below it.")
-
-let budget_fetch_arg =
-  Arg.(value & opt (some int) None
-       & info [ "budget-fetch" ] ~docv:"CYCLES"
-           ~doc:"Hang budget for the host fetch->data phase.")
-
-let apply_recovery ~recover ~lives ~breq ~binv ~bfetch cfg =
-  (* Both knobs default to the historical behaviour: no flag, no config
-     change, byte-identical runs. *)
-  let cfg =
-    if recover || lives <> None then
-      { cfg with
-        Config.recovery = Some (Xg.Xg_core.make_recovery ?permakill_after:lives ()) }
-    else cfg
-  in
-  if breq <> None || binv <> None || bfetch <> None then
-    { cfg with
-      Config.budgets = { Xg.Xg_core.req_decide = breq; inv_ack = binv; fetch_data = bfetch } }
-  else cfg
-
-let injected_total counts =
-  List.fold_left
-    (fun n (k, v) ->
-      if String.length k > 9 && String.sub k 0 9 = "injected." then n + v else n)
-    0 counts
-
-let count_of counts label = Option.value ~default:0 (List.assoc_opt label counts)
-
-(* The trace ring buffer is armed process-wide (Trace.with_armed), so traced
-   sweeps must stay on one domain. *)
-let check_trace_jobs ~jobs tr =
-  if jobs > 1 && tr <> None then begin
-    Printf.eprintf "--trace/--trace-out require -j 1\n";
-    exit 1
-  end
-
-let maybe_armed tr f = match tr with None -> f () | Some tr -> Trace.with_armed tr f
-
-let tail_events = 60
-
-(* Print a dumped trail, or write it to --trace-out. *)
-let emit_trail ~trace_out ~header text =
-  if text <> "" then
-    match trace_out with
-    | None -> Printf.printf "%s\n%s\n" header text
-    | Some file ->
-        let oc = open_out file in
-        Printf.fprintf oc "%s\n%s\n" header text;
-        close_out oc;
-        Printf.printf "event trail written to %s\n" file
+(* Print dumped trails, or write them to --trace-out: the command's first
+   trail truncates the file and later ones append, so it holds them all. *)
+let trail_printer trace_out =
+  let started = ref false in
+  fun (header, text) ->
+    if text <> "" then
+      match trace_out with
+      | None -> Printf.printf "%s\n%s\n" header text
+      | Some file ->
+          let oc =
+            if !started then open_out_gen [ Open_wronly; Open_append ] 0o644 file
+            else open_out file
+          in
+          started := true;
+          Printf.fprintf oc "%s\n%s\n" header text;
+          close_out oc;
+          Printf.printf "event trail written to %s\n" file
 
 let print_coverage_sets sets =
   List.iter
@@ -434,6 +440,28 @@ let print_coverage_sets sets =
       print_string (Coverage.to_string (Coverage.analyze space groups));
       print_newline ())
     sets
+
+let jobs_arg =
+  Arg.(value & opt int 1
+       & info [ "j"; "jobs" ] ~docv:"N"
+           ~doc:"Fan independent runs out over $(docv) worker domains (1 = serial). \
+                 Results are merged in job order, so output is byte-identical for \
+                 any $(docv).")
+
+(* One job per seed, [seed], [seed + 1], ... *)
+let seed_jobs ~seed ~seeds cfg work =
+  Array.init seeds (fun i ->
+      let s = seed + i in
+      { Campaign.cfg; seed = s; label = Printf.sprintf "seed %d" s; work })
+
+(* One line per seed, in seed order; a crashed job reports as a failure
+   instead of killing the sweep. *)
+let print_seeds ~seed ~line results =
+  Array.iteri
+    (fun i -> function
+      | Pool.Failed e -> Printf.printf "seed %-6d CRASH %s FAIL\n" (seed + i) e
+      | Pool.Done r -> line r)
+    results
 
 (* ---- run ---- *)
 
@@ -443,62 +471,45 @@ let run_cmd =
     Arg.(value & opt string "blocked" & info [ "w"; "workload" ] ~docv:"WORKLOAD" ~doc)
   in
   let action config topology workload seed trace trace_out spans spans_out mopts =
-    with_system_config ~topology config seed (fun cfg ->
-        match find_workload workload with
-        | None ->
-            Printf.eprintf "unknown workload %S\n" workload;
-            exit 1
-        | Some w ->
-            let tr = make_trace ~trace ~trace_out in
-            (* Metrics always ride an armed span recorder (quantile sampling
-               reads it); the span tables stay opt-in via --spans. *)
-            let rec_ =
-              if metrics_on mopts then
-                Some (Spans.create ~timeline:(spans_out <> None) ())
-              else make_recorder ~spans ~spans_out
-            in
-            let mrec =
-              if metrics_on mopts then Some (Metrics.create ?watchdog:mopts.m_watchdog ())
-              else None
-            in
-            let with_obs f =
-              with_spans rec_ (fun () ->
-                  match mrec with None -> f () | Some m -> Metrics.with_armed m f)
-            in
-            (try
-               let r = with_obs (fun () -> Perf.run ?trace:tr cfg w) in
-               Printf.printf "configuration      %s\n" r.Perf.config_name;
-               Printf.printf "workload           %s (%s)\n" w.W.name w.W.description;
-               Printf.printf "cycles             %d\n" r.Perf.cycles;
-               Printf.printf "accel accesses     %d\n" r.Perf.accel_accesses;
-               Printf.printf "mean latency       %.1f cycles\n" r.Perf.mean_accel_latency;
-               Printf.printf "p99 latency        %d cycles\n" r.Perf.p99_accel_latency;
-               Printf.printf "host bytes         %d\n" r.Perf.host_bytes;
-               Printf.printf "link bytes         %d\n" r.Perf.link_bytes;
-               Printf.printf "guard violations   %d\n" r.Perf.violations;
-               Option.iter
-                 (fun rc ->
-                   let sum = Spans.summary rc in
-                   if spans || spans_out <> None then print_span_summary sum;
-                   emit_spans_out ~spans_out [ (w.W.name, rc) ];
-                   Option.iter
-                     (fun m ->
-                       emit_metrics ~mopts
-                         ~span_cells:(Spans.Summary.cells sum)
-                         (Metrics.summary ~label:"run" m))
-                     mrec)
-                 rec_
-             with e ->
-               Option.iter
-                 (fun tr ->
-                   emit_trail ~trace_out
-                     ~header:
-                       (Printf.sprintf "-- event trail, last %d events (replay with --seed %d) --"
-                          tail_events cfg.Config.seed)
-                     (Trace.dump ~last:tail_events tr))
-                 tr;
-               Printf.eprintf "run failed: %s\n" (Printexc.to_string e);
-               exit 1))
+    let cfg = { (List.hd (system_configs ~topology config)) with Config.seed } in
+    match find_workload workload with
+    | None ->
+        Printf.eprintf "unknown workload %S\n" workload;
+        exit 1
+    | Some w -> (
+        let obs = arm ?spans_out { trace; trace_out; coverage = false; spans; mopts } in
+        try
+          let r, seen =
+            Campaign.observe obs ~label:"run" (fun () ->
+                Perf.run ?trace:obs.Campaign.trace cfg w)
+          in
+          Printf.printf "configuration      %s\n" r.Perf.config_name;
+          Printf.printf "workload           %s (%s)\n" w.W.name w.W.description;
+          Printf.printf "cycles             %d\n" r.Perf.cycles;
+          Printf.printf "accel accesses     %d\n" r.Perf.accel_accesses;
+          Printf.printf "mean latency       %.1f cycles\n" r.Perf.mean_accel_latency;
+          Printf.printf "p99 latency        %d cycles\n" r.Perf.p99_accel_latency;
+          Printf.printf "host bytes         %d\n" r.Perf.host_bytes;
+          Printf.printf "link bytes         %d\n" r.Perf.link_bytes;
+          Printf.printf "guard violations   %d\n" r.Perf.violations;
+          emit_observed obs ~mopts ~spans_out
+            {
+              Campaign.empty with
+              spans = seen.Campaign.span_summary;
+              timelines = Option.to_list (Option.map (fun rc -> (w.W.name, rc)) seen.recorder);
+              metrics = seen.metrics_summary;
+            }
+        with e ->
+          let last = 60 in
+          Option.iter
+            (fun tr ->
+              trail_printer trace_out
+                ( Printf.sprintf "-- event trail, last %d events (replay with --seed %d) --"
+                    last cfg.Config.seed,
+                  Trace.dump ~last tr ))
+            obs.trace;
+          Printf.eprintf "run failed: %s\n" (Printexc.to_string e);
+          exit 1)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a workload on one configuration")
@@ -514,175 +525,60 @@ let stress_cmd =
   let seeds_arg =
     Arg.(value & opt int 5 & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeds to sweep.")
   in
-  let action config topology seed ops seeds jobs trace trace_out coverage spans
-      spans_out mopts drop dup corrupt delay scripts reliable recover lives breq binv
-      bfetch =
-    with_system_config ~topology config seed (fun base ->
-        let base =
-          apply_link_faults ~drop ~dup ~corrupt ~delay ~scripts ~reliable base
-        in
-        let base = apply_recovery ~recover ~lives ~breq ~binv ~bfetch base in
-        let tr = make_trace ~trace ~trace_out in
-        check_trace_jobs ~jobs tr;
-        (* Each seed is one pool job producing its report line, optional
-           failure trail and coverage groups; printing happens afterwards in
-           seed order, so -j N output is byte-identical to -j 1. *)
-        let results =
-          Pool.map ~workers:jobs ~jobs:seeds (fun i ->
-              let s = seed + i in
-              let cfg = Config.stress_sized { base with Config.seed = s } in
-              let rec_ =
-                if metrics_on mopts then
-                  Some (Spans.create ~timeline:(spans_out <> None) ())
-                else make_recorder ~spans ~spans_out
-              in
-              let mrec =
-                if metrics_on mopts then
-                  Some (Metrics.create ?watchdog:mopts.m_watchdog ())
-                else None
-              in
-              let run_body () =
-                let sys = System.build cfg in
-                let ports = Array.append sys.System.cpu_ports sys.System.accel_ports in
-                Option.iter Trace.clear tr;
-                let o =
-                  maybe_armed tr (fun () ->
-                      Tester.run ~engine:sys.System.engine ~rng:(Rng.create ~seed:(s * 7 + 1))
-                        ~ports ~addresses:(Array.init 6 Addr.block) ~ops_per_core:ops ())
-                in
-                (sys, o)
-              in
-              let sys, o =
-                with_spans rec_ (fun () ->
-                    match mrec with
-                    | None -> run_body ()
-                    | Some m ->
-                        Metrics.with_armed m (fun () ->
-                            let sys, o = run_body () in
-                            note_guard_avail sys ~now:o.Tester.cycles;
-                            (sys, o)))
-              in
-              let viol = Xg.Os_model.error_count sys.System.os in
-              let bad = o.Tester.data_errors > 0 || o.Tester.deadlocked || viol > 0 in
-              let link = sys.System.link_stats () in
-              let link_part =
-                (* Empty when the link cannot fault, so fault-free output is
-                   byte-identical to the historical report. *)
-                if link = [] then ""
-                else
-                  Printf.sprintf " link[inj=%d retx=%d q=%b]" (injected_total link)
-                    (count_of link "retransmit_frames")
-                    (sys.System.quarantined ())
-              in
-              let recovery_part =
-                (* Printed only when a recovery policy or a budget is
-                   configured, so default runs stay byte-identical. *)
-                let sum f =
-                  Array.fold_left (fun n g -> n + f g.System.g_core) 0 sys.System.guards
-                in
-                let parts = [] in
-                let parts =
-                  if cfg.Config.budgets <> Xg.Xg_core.no_budgets then
-                    Printf.sprintf "trips=%d" (sum Xg.Xg_core.budget_trips) :: parts
-                  else parts
-                in
-                let parts =
-                  if cfg.Config.recovery <> None then
-                    Printf.sprintf "rejoins=%d kill=%b" (sum Xg.Xg_core.rejoins)
-                      (Array.exists
-                         (fun g -> Xg.Xg_core.permakilled g.System.g_core)
-                         sys.System.guards)
-                    :: parts
-                  else parts
-                in
-                if parts = [] then ""
-                else Printf.sprintf " rec[%s]" (String.concat " " parts)
-              in
-              let line =
-                Printf.sprintf
-                  "seed %-6d ops=%-6d data_errors=%-3d deadlock=%-5b violations=%-3d %s%s%s"
-                  s o.Tester.ops_completed o.Tester.data_errors o.Tester.deadlocked viol
-                  (if bad then "FAIL" else "ok")
-                  link_part recovery_part
-              in
-              let trail =
-                if bad then
-                  Option.map
-                    (fun tr ->
-                      let addr = o.Tester.first_error_addr in
-                      ( Printf.sprintf
-                          "-- seed %d event trail%s (replay with --seed %d --seeds 1) --" s
-                          (match addr with
-                          | Some a -> Printf.sprintf " for block 0x%x" a
-                          | None -> "")
-                          s,
-                        Trace.dump ?addr ~last:tail_events tr ))
-                    tr
-                else None
-              in
-              let cov = if coverage then Some (sys.System.coverage_sets ()) else None in
-              (line, bad, trail, cov, rec_, mrec))
-        in
-        let failures = ref 0 in
-        let cov_runs = ref [] in
-        let span_sum = ref Spans.Summary.empty in
-        let span_recs = ref [] in
-        let metrics_sum = ref Metrics.Summary.empty in
-        Array.iteri
-          (fun i result ->
-            match result with
-            | Pool.Failed e ->
-                (* Crash isolation: the wedged seed reports as a failure
-                   instead of killing the sweep. *)
-                incr failures;
-                Printf.printf "seed %-6d CRASH %s FAIL\n" (seed + i) e
-            | Pool.Done (line, bad, trail, cov, rec_, mrec) ->
-                if bad then incr failures;
-                Option.iter (fun c -> cov_runs := c :: !cov_runs) cov;
-                Option.iter
-                  (fun rc ->
-                    span_sum := Spans.Summary.merge !span_sum (Spans.summary rc);
-                    span_recs := (Printf.sprintf "seed %d" (seed + i), rc) :: !span_recs)
-                  rec_;
-                Option.iter
-                  (fun m ->
-                    metrics_sum :=
-                      Metrics.Summary.merge !metrics_sum
-                        (Metrics.summary ~label:(Printf.sprintf "seed %d" (seed + i)) m))
-                  mrec;
-                Printf.printf "%s\n" line;
-                Option.iter (fun (header, text) -> emit_trail ~trace_out ~header text) trail)
-          results;
-        if coverage then begin
-          match List.rev !cov_runs with
-          | [] -> ()
-          | first :: _ as runs ->
-              List.iter
-                (fun (name, space, _) ->
-                  let groups =
-                    List.concat_map
-                      (fun run ->
-                        List.concat_map (fun (n, _, gs) -> if n = name then gs else []) run)
-                      runs
-                  in
-                  print_string (Coverage.to_string (Coverage.analyze space groups));
-                  print_newline ())
-                first
-        end;
-        if spans || spans_out <> None then print_span_summary !span_sum;
-        emit_spans_out ~spans_out (List.rev !span_recs);
-        emit_metrics ~mopts ~span_cells:(Spans.Summary.cells !span_sum) !metrics_sum;
-        Printf.printf "%s\n" (if !failures = 0 then "PASS" else "FAIL");
-        if !failures > 0 then exit 1)
+  let line (r : Campaign.result) =
+    let o = match r.outcome with Stressed o -> o | Fuzzed _ -> assert false in
+    let cfg = r.job.cfg in
+    let link_part =
+      (* Empty when the link cannot fault, so fault-free output is
+         byte-identical to the historical report. *)
+      if r.link_faults = [] then ""
+      else
+        Printf.sprintf " link[inj=%d retx=%d q=%b]" (Campaign.injected_total r.link_faults)
+          (Campaign.count_of r.link_faults "retransmit_frames") r.quarantined
+    in
+    let recovery_part =
+      (* Printed only when a recovery policy or a budget is configured, so
+         default runs stay byte-identical. *)
+      let parts =
+        (if cfg.Config.recovery <> None then
+           [ Printf.sprintf "rejoins=%d kill=%b" r.rejoins r.permakilled ]
+         else [])
+        @
+        if cfg.Config.budgets <> Xg.Xg_core.no_budgets then
+          [ Printf.sprintf "trips=%d" r.budget_trips ]
+        else []
+      in
+      if parts = [] then "" else Printf.sprintf " rec[%s]" (String.concat " " parts)
+    in
+    Printf.sprintf "seed %-6d ops=%-6d data_errors=%-3d deadlock=%-5b violations=%-3d %s%s%s"
+      r.job.seed o.Tester.ops_completed o.Tester.data_errors o.Tester.deadlocked r.violations
+      (if r.totals.failures > 0 then "FAIL" else "ok")
+      link_part recovery_part
+  in
+  let action sys seed ops seeds jobs o spans_out =
+    let cfg = system_config sys in
+    let obs = arm ~jobs ?spans_out o in
+    let results =
+      Campaign.run_jobs ~workers:jobs obs
+        ~trail_header:(fun j where ->
+          Printf.sprintf "-- seed %d event trail%s (replay with --seed %d --seeds 1) --"
+            j.Campaign.seed where j.Campaign.seed)
+        (seed_jobs ~seed ~seeds cfg (Campaign.Stress_run { ops }))
+    in
+    let print_trail = trail_printer o.trace_out in
+    print_seeds ~seed results ~line:(fun r ->
+        Printf.printf "%s\n" (line r);
+        List.iter print_trail r.totals.trails);
+    let t = Campaign.totals results in
+    if o.coverage then print_coverage_sets t.coverage;
+    emit_observed obs ~mopts:o.mopts ~spans_out t;
+    Printf.printf "%s\n" (if t.failures = 0 then "PASS" else "FAIL");
+    if t.failures > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "stress" ~doc:"Random coherence stress test (paper section 4.1)")
-    Term.(const action $ config_arg $ topology_arg $ seed_arg $ ops_arg $ seeds_arg
-          $ jobs_arg $ trace_flag $ trace_out_arg $ coverage_flag $ spans_flag
-          $ spans_out_arg $ metrics_term $ fault_drop_arg $ fault_dup_arg
-          $ fault_corrupt_arg $ fault_delay_arg $ fault_script_arg $ reliable_link_flag
-          $ recover_flag $ recover_lives_arg $ budget_req_arg $ budget_inv_arg
-          $ budget_fetch_arg)
+    Term.(const action $ system_term config_arg $ seed_arg $ ops_arg $ seeds_arg
+          $ jobs_arg $ observe_term $ spans_out_arg)
 
 (* ---- fuzz ---- *)
 
@@ -691,11 +587,10 @@ let fuzz_cmd =
     Arg.(value & flag & info [ "mute" ] ~doc:"The accelerator never answers invalidations.")
   in
   let timeout_arg =
-    Arg.(value & opt (some int) None
-         & info [ "timeout" ] ~docv:"CYCLES"
-             ~doc:"Override the guard's invalidation timeout.  A huge value with \
-                   $(b,--mute) disables the paper's timeout defense and forces a \
-                   deadlock, to exercise the $(b,--trace) forensics path.")
+    cycles "timeout"
+      "Override the guard's invalidation timeout.  A huge value with $(b,--mute) \
+       disables the paper's timeout defense and forces a deadlock, to exercise the \
+       $(b,--trace) forensics path."
   in
   let seeds_arg =
     Arg.(value & opt int 1
@@ -704,10 +599,8 @@ let fuzz_cmd =
                    (Fuzz_tester.merge) into one report.")
   in
   let chaos_period_arg =
-    Arg.(value & opt (some int) None
-         & info [ "chaos-period" ] ~docv:"CYCLES"
-             ~doc:"Cycles between chaos-accelerator injections (smaller = denser \
-                   bombardment).")
+    cycles "chaos-period"
+      "Cycles between chaos-accelerator injections (smaller = denser bombardment)."
   in
   let chaos_respond_arg =
     Arg.(value & opt (some float) None
@@ -723,159 +616,95 @@ let fuzz_cmd =
                    responses.")
   in
   let chaos_tarpit_arg =
-    Arg.(value & opt (some int) None
-         & info [ "chaos-tarpit" ] ~docv:"CYCLES"
-             ~doc:"Slow-but-honest mode: answer every Invalidate with a correct \
-                   Inv_ack exactly $(docv) cycles late.  With $(b,--budget-inv) \
-                   below $(docv), every invalidation trips the budget; without \
-                   budgets only the coarse G2c timeout can notice.  Overrides \
-                   $(b,--chaos-respond-prob).")
+    cycles "chaos-tarpit"
+      "Slow-but-honest mode: answer every Invalidate with a correct Inv_ack exactly \
+       $(docv) cycles late.  With $(b,--budget-inv) below $(docv), every invalidation \
+       trips the budget; without budgets only the coarse G2c timeout can notice. \
+       Overrides $(b,--chaos-respond-prob)."
   in
-  let action config topology seed seeds jobs mute timeout trace trace_out coverage spans
-      spans_out mopts drop dup corrupt delay scripts reliable chaos_period chaos_respond
-      chaos_requests_only chaos_tarpit recover lives breq binv bfetch =
-    with_system_config ~topology config seed (fun cfg ->
-        if not (Config.uses_xg cfg) then begin
-          Printf.eprintf "fuzzing needs a Crossing Guard configuration\n";
+  let chaos_term =
+    (* --mute is shorthand for the never-answer chaos shape; explicit chaos
+       flags compose with (and refine) it. *)
+    let pack mute period respond requests_only tarpit =
+      {
+        Campaign.period;
+        respond_probability = (if mute then Some 0.0 else respond);
+        requests_only = (if mute || requests_only then Some true else None);
+        tarpit;
+      }
+    in
+    Term.(const pack $ mute_arg $ chaos_period_arg $ chaos_respond_arg
+          $ chaos_requests_only_flag $ chaos_tarpit_arg)
+  in
+  let line (r : Campaign.result) =
+    let o = match r.outcome with Fuzzed o -> o | Stressed _ -> assert false in
+    Printf.printf
+      "seed %-6d chaos=%-6d ops=%d/%d crashed=%-3s deadlock=%-5b violations=%-4d %s\n"
+      o.Fuzz.seed o.Fuzz.chaos_messages o.Fuzz.cpu_ops_completed o.Fuzz.cpu_ops_expected
+      (match o.Fuzz.crashed with Some _ -> "yes" | None -> "no")
+      o.Fuzz.deadlocked o.Fuzz.violations
+      (if r.totals.failures > 0 then "FAIL" else "ok")
+  in
+  let action sys seed seeds jobs timeout chaos o spans_out =
+    let cfg = system_config sys in
+    if not (Config.uses_xg cfg) then begin
+      Printf.eprintf "fuzzing needs a Crossing Guard configuration\n";
+      exit 1
+    end;
+    let cfg = match timeout with None -> cfg | Some t -> { cfg with Config.xg_timeout = t } in
+    let obs = arm ~jobs ?spans_out o in
+    let results =
+      Campaign.run_jobs ~workers:jobs obs
+        ~trail_header:(fun j where ->
+          Printf.sprintf "-- failure event trail%s (replay with --seed %d) --" where
+            j.Campaign.seed)
+        (* 300 checked CPU operations per core, the fuzz tester's default. *)
+        (seed_jobs ~seed ~seeds cfg (Campaign.Fuzz_run { cpu_ops = 300; chaos }))
+    in
+    print_seeds ~seed results ~line:(fun r -> if seeds > 1 then line r);
+    let outcomes =
+      List.filter_map
+        (function Pool.Done { Campaign.outcome = Fuzzed o; _ } -> Some o | _ -> None)
+        (Array.to_list results)
+    in
+    let m, t =
+      match outcomes with
+      | [] ->
+          Printf.printf "no run completed\n";
           exit 1
-        end;
-        let cfg =
-          apply_link_faults ~drop ~dup ~corrupt ~delay ~scripts ~reliable cfg
-        in
-        let cfg = apply_recovery ~recover ~lives ~breq ~binv ~bfetch cfg in
-        let cfg =
-          match timeout with None -> cfg | Some t -> { cfg with Config.xg_timeout = t }
-        in
-        (* --mute is shorthand for the never-answer chaos shape; explicit
-           chaos flags compose with (and refine) it. *)
-        let respond_probability = if mute then Some 0.0 else chaos_respond in
-        let requests_only = if mute || chaos_requests_only then Some true else None in
-        let tr = make_trace ~trace ~trace_out in
-        check_trace_jobs ~jobs tr;
-        let results =
-          Pool.map ~workers:jobs ~jobs:seeds (fun i ->
-              let cfg = { cfg with Config.seed = seed + i } in
-              let rec_ =
-                if metrics_on mopts then
-                  Some (Spans.create ~timeline:(spans_out <> None) ())
-                else make_recorder ~spans ~spans_out
-              in
-              let mrec =
-                if metrics_on mopts then
-                  Some (Metrics.create ?watchdog:mopts.m_watchdog ())
-                else None
-              in
-              Option.iter Trace.clear tr;
-              let body () =
-                Fuzz.run cfg ?chaos_period ?respond_probability ?requests_only
-                  ?tarpit:chaos_tarpit ?trace:tr ()
-              in
-              let o =
-                with_spans rec_ (fun () ->
-                    match mrec with
-                    | None -> body ()
-                    | Some m -> Metrics.with_armed m body)
-              in
-              (o, rec_, mrec))
-        in
-        let pool_crashes = ref 0 in
-        let merged = ref None in
-        let span_sum = ref Spans.Summary.empty in
-        let span_recs = ref [] in
-        let metrics_sum = ref Metrics.Summary.empty in
-        Array.iteri
-          (fun i result ->
-            match result with
-            | Pool.Failed e ->
-                incr pool_crashes;
-                Printf.printf "seed %-6d CRASH %s FAIL\n" (seed + i) e
-            | Pool.Done (o, rec_, mrec) ->
-                Option.iter
-                  (fun rc ->
-                    span_sum := Spans.Summary.merge !span_sum (Spans.summary rc);
-                    span_recs := (Printf.sprintf "seed %d" (seed + i), rc) :: !span_recs)
-                  rec_;
-                Option.iter
-                  (fun m ->
-                    metrics_sum :=
-                      Metrics.Summary.merge !metrics_sum
-                        (Metrics.summary ~label:(Printf.sprintf "seed %d" (seed + i)) m))
-                  mrec;
-                if seeds > 1 then
-                  Printf.printf
-                    "seed %-6d chaos=%-6d ops=%d/%d crashed=%-3s deadlock=%-5b violations=%-4d %s\n"
-                    o.Fuzz.seed o.Fuzz.chaos_messages o.Fuzz.cpu_ops_completed
-                    o.Fuzz.cpu_ops_expected
-                    (match o.Fuzz.crashed with Some _ -> "yes" | None -> "no")
-                    o.Fuzz.deadlocked o.Fuzz.violations
-                    (if o.Fuzz.crashed <> None || o.Fuzz.deadlocked then "FAIL" else "ok");
-                merged := Some (match !merged with None -> o | Some m -> Fuzz.merge m o))
-          results;
-        (match !merged with None -> Printf.printf "no run completed\n"; exit 1 | Some _ -> ());
-        let o = Option.get !merged in
-        Printf.printf "chaos msgs sent    %d\n" o.Fuzz.chaos_messages;
-        Printf.printf "invals ignored     %d\n" o.Fuzz.invalidations_ignored;
-        Printf.printf "cpu ops            %d/%d\n" o.Fuzz.cpu_ops_completed o.Fuzz.cpu_ops_expected;
-        Printf.printf "crashed            %s\n"
-          (match o.Fuzz.crashed with Some c -> c.Fuzz.exn_text | None -> "no");
-        Printf.printf "deadlocked         %b\n" o.Fuzz.deadlocked;
-        Printf.printf "violations         %d\n" o.Fuzz.violations;
-        List.iter
-          (fun (k, n) -> Printf.printf "  %-36s %d\n" (Xg.Os_model.error_kind_to_string k) n)
-          o.Fuzz.violations_by_kind;
-        if o.Fuzz.link_faults <> [] then begin
-          Printf.printf "link quarantined   %b\n" o.Fuzz.quarantined;
-          List.iter
-            (fun (k, n) -> Printf.printf "  link.%-32s %d\n" k n)
-            o.Fuzz.link_faults
-        end;
-        (* Gated on the flags, like the link block above, so default output
-           stays byte-identical. *)
-        if cfg.Config.recovery <> None then begin
-          Printf.printf "link rejoins       %d\n" o.Fuzz.rejoins;
-          Printf.printf "permakilled        %b\n" o.Fuzz.permakilled
-        end;
-        if cfg.Config.budgets <> Xg.Xg_core.no_budgets then
-          Printf.printf "budget trips       %d\n" o.Fuzz.budget_trips;
-        if coverage then print_coverage_sets o.Fuzz.coverage_sets;
-        if spans || spans_out <> None then print_span_summary !span_sum;
-        emit_spans_out ~spans_out (List.rev !span_recs);
-        emit_metrics ~mopts ~span_cells:(Spans.Summary.cells !span_sum) !metrics_sum;
-        let tail =
-          match o.Fuzz.crashed with
-          | Some c -> c.Fuzz.trace_tail
-          | None -> o.Fuzz.trace_tail
-        in
-        if tail <> [] then begin
-          let dropped_line =
-            (* Forensics readers must know when the ring wrapped and the trail
-               is incomplete. *)
-            let d = o.Fuzz.trace_dropped in
-            if d = 0 then []
-            else
-              [ Printf.sprintf "(%d event%s dropped — ring wrapped)" d
-                  (if d = 1 then "" else "s") ]
-          in
-          emit_trail ~trace_out
-            ~header:
-              (Printf.sprintf "-- failure event trail%s (replay with --seed %d) --"
-                 (match o.Fuzz.first_error_addr with
-                 | Some a -> Printf.sprintf " for block 0x%x" a
-                 | None -> "")
-                 o.Fuzz.seed)
-            (String.concat "\n" (dropped_line @ List.map Trace.format_event tail))
-        end;
-        if o.Fuzz.crashed <> None || o.Fuzz.deadlocked || !pool_crashes > 0 then exit 1)
+      | first :: rest -> (List.fold_left Fuzz.merge first rest, Campaign.totals results)
+    in
+    Printf.printf "chaos msgs sent    %d\n" m.Fuzz.chaos_messages;
+    Printf.printf "invals ignored     %d\n" m.Fuzz.invalidations_ignored;
+    Printf.printf "cpu ops            %d/%d\n" m.Fuzz.cpu_ops_completed m.Fuzz.cpu_ops_expected;
+    Printf.printf "crashed            %s\n"
+      (match m.Fuzz.crashed with Some c -> c.Fuzz.exn_text | None -> "no");
+    Printf.printf "deadlocked         %b\n" m.Fuzz.deadlocked;
+    Printf.printf "violations         %d\n" m.Fuzz.violations;
+    List.iter
+      (fun (k, n) -> Printf.printf "  %-36s %d\n" (Xg.Os_model.error_kind_to_string k) n)
+      m.Fuzz.violations_by_kind;
+    if m.Fuzz.link_faults <> [] then begin
+      Printf.printf "link quarantined   %b\n" m.Fuzz.quarantined;
+      List.iter (fun (k, n) -> Printf.printf "  link.%-32s %d\n" k n) m.Fuzz.link_faults
+    end;
+    (* Gated on the flags, like the link block above, so default output
+       stays byte-identical. *)
+    if cfg.Config.recovery <> None then begin
+      Printf.printf "link rejoins       %d\n" m.Fuzz.rejoins;
+      Printf.printf "permakilled        %b\n" m.Fuzz.permakilled
+    end;
+    if cfg.Config.budgets <> Xg.Xg_core.no_budgets then
+      Printf.printf "budget trips       %d\n" m.Fuzz.budget_trips;
+    if o.coverage then print_coverage_sets t.coverage;
+    emit_observed obs ~mopts:o.mopts ~spans_out t;
+    List.iter (trail_printer o.trace_out) t.trails;
+    if t.failures > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "fuzz" ~doc:"Bombard the guard with a pathological accelerator")
-    Term.(const action $ config_arg $ topology_arg $ seed_arg $ seeds_arg $ jobs_arg
-          $ mute_arg $ timeout_arg $ trace_flag $ trace_out_arg $ coverage_flag
-          $ spans_flag $ spans_out_arg $ metrics_term $ fault_drop_arg $ fault_dup_arg
-          $ fault_corrupt_arg $ fault_delay_arg $ fault_script_arg $ reliable_link_flag
-          $ chaos_period_arg $ chaos_respond_arg $ chaos_requests_only_flag
-          $ chaos_tarpit_arg $ recover_flag $ recover_lives_arg $ budget_req_arg
-          $ budget_inv_arg $ budget_fetch_arg)
+    Term.(const action $ system_term config_arg $ seed_arg $ seeds_arg $ jobs_arg
+          $ timeout_arg $ chaos_term $ observe_term $ spans_out_arg)
 
 (* ---- campaign ---- *)
 
@@ -906,43 +735,22 @@ let campaign_cmd =
     Arg.(value & opt int 300
          & info [ "cpu-ops" ] ~docv:"N" ~doc:"Checked CPU operations per core per fuzz run.")
   in
-  let action config topology seeds jobs kind ops cpu_ops seed coverage spans mopts trace
-      trace_out drop dup corrupt delay scripts reliable recover lives breq binv bfetch =
+  let action sys seeds jobs kind ops cpu_ops seed o =
     let configs =
-      match topology with
-      | Some spec -> [ Config.of_topology (parse_topology spec) ]
-      | None ->
-          if config = "all" then Config.all_configurations ()
-          else (
-            match find_config config with
-            | Some c -> [ c ]
-            | None ->
-                Printf.eprintf "unknown configuration %S\nknown: all, %s\n" config
-                  (String.concat ", " config_names);
-                exit 1)
+      List.map sys.apply (system_configs ~all:true ~topology:sys.topology sys.config)
     in
-    let configs =
-      List.map (apply_link_faults ~drop ~dup ~corrupt ~delay ~scripts ~reliable) configs
-    in
-    let configs = List.map (apply_recovery ~recover ~lives ~breq ~binv ~bfetch) configs in
-    let tr = make_trace ~trace ~trace_out in
-    check_trace_jobs ~jobs tr;
     let result =
-      Campaign.run ~workers:jobs ~collect_coverage:coverage ~stress_ops:ops
-        ~fuzz_cpu_ops:cpu_ops ~base_seed:seed ~spans ~metrics:(metrics_on mopts)
-        ?watchdog:mopts.m_watchdog ?trace:tr kind ~configs ~seeds ()
+      Campaign.run ~workers:jobs ~observers:(arm ~jobs o) ~stress_ops:ops
+        ~fuzz_cpu_ops:cpu_ops ~base_seed:seed ~replay_flags:sys.flags kind ~configs ~seeds ()
     in
+    let t = result.Campaign.totals in
     print_string (Campaign.render result);
-    emit_metrics ~mopts
-      ~span_cells:(Spans.Summary.cells result.Campaign.span_total)
-      result.Campaign.metrics;
-    (* All shards' failure trails go out in one emit so --trace-out holds the
-       full set (emit_trail truncates its file on every call). *)
-    (match result.Campaign.trails with
-    | [] -> ()
-    | trails ->
-        emit_trail ~trace_out ~header:"== campaign failure trails =="
-          (String.concat "\n" (List.map (fun (h, t) -> h ^ "\n" ^ t) trails)));
+    emit_metrics ~mopts:o.mopts ~span_cells:(Spans.Summary.cells t.spans) t.metrics;
+    (* All trails go out under one heading. *)
+    if t.trails <> [] then
+      trail_printer o.trace_out
+        ( "== campaign failure trails ==",
+          String.concat "\n" (List.map (fun (h, t) -> h ^ "\n" ^ t) t.trails) );
     if not (Campaign.passed result) then exit 1
   in
   Cmd.v
@@ -960,12 +768,8 @@ let campaign_cmd =
                byte-identical for any $(b,-j).  A crashing job is isolated and \
                reported as a failed run for its configuration.";
          ])
-    Term.(const action $ config_arg $ topology_arg $ seeds_arg $ jobs_arg $ kind_arg
-          $ ops_arg $ cpu_ops_arg $ seed_arg $ coverage_flag $ spans_flag $ metrics_term
-          $ trace_flag $ trace_out_arg $ fault_drop_arg $ fault_dup_arg
-          $ fault_corrupt_arg $ fault_delay_arg $ fault_script_arg $ reliable_link_flag
-          $ recover_flag $ recover_lives_arg $ budget_req_arg $ budget_inv_arg
-          $ budget_fetch_arg)
+    Term.(const action $ system_term config_arg $ seeds_arg $ jobs_arg $ kind_arg
+          $ ops_arg $ cpu_ops_arg $ seed_arg $ observe_term)
 
 (* ---- report ---- *)
 

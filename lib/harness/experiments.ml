@@ -149,16 +149,7 @@ let e1_stress ?(quick = false) () =
       let coverage = Hashtbl.create 64 in
       List.iter
         (fun seed ->
-          let cfg = Config.stress_sized { cfg with Config.seed } in
-          let sys = System.build cfg in
-          let ports = Array.append sys.System.cpu_ports sys.System.accel_ports in
-          let o =
-            Random_tester.run ~engine:sys.System.engine
-              ~rng:(Rng.create ~seed:(seed * 7 + 1))
-              ~ports
-              ~addresses:(Array.init 6 Addr.block)
-              ~ops_per_core:ops ()
-          in
+          let sys, o = Campaign.stress_system ~ops ~seed cfg in
           total_ops := !total_ops + o.Random_tester.ops_completed;
           errors := !errors + o.Random_tester.data_errors;
           if o.Random_tester.deadlocked then incr deadlocks;
@@ -583,19 +574,10 @@ let a1_link_ordering ?(quick = false) () =
       List.iter
         (fun seed ->
           let base = { Config.default with Config.seed = seed; Config.link_ordered = ordered } in
-          let cfg =
-            Config.stress_sized
-              (Config.make ~base Config.Hammer (Config.Xg_one_level Config.Full_state))
-          in
           try
-            let sys = System.build cfg in
-            let ports = Array.append sys.System.cpu_ports sys.System.accel_ports in
-            let o =
-              Random_tester.run ~engine:sys.System.engine
-                ~rng:(Rng.create ~seed:(seed * 7 + 1))
-                ~ports
-                ~addresses:(Array.init 6 Addr.block)
-                ~ops_per_core:300 ()
+            let sys, o =
+              Campaign.stress_system ~ops:300 ~seed
+                (Config.make ~base Config.Hammer (Config.Xg_one_level Config.Full_state))
             in
             errors := !errors + o.Random_tester.data_errors;
             if o.Random_tester.deadlocked then incr deadlocks;
@@ -819,17 +801,8 @@ let e9_topology ?(quick = false) () =
       and nports = ref 0 in
       List.iter
         (fun seed ->
-          let cfg = Config.stress_sized { (Config.of_topology topo) with Config.seed } in
-          let sys = System.build cfg in
-          let ports = Array.append sys.System.cpu_ports sys.System.accel_ports in
-          nports := Array.length ports;
-          let o =
-            Random_tester.run ~engine:sys.System.engine
-              ~rng:(Rng.create ~seed:(seed * 7 + 1))
-              ~ports
-              ~addresses:(Array.init 6 Addr.block)
-              ~ops_per_core:ops ()
-          in
+          let sys, o = Campaign.stress_system ~ops ~seed (Config.of_topology topo) in
+          nports := Array.length sys.System.cpu_ports + Array.length sys.System.accel_ports;
           total_ops := !total_ops + o.Random_tester.ops_completed;
           errors := !errors + o.Random_tester.data_errors;
           if o.Random_tester.deadlocked then incr deadlocks;
@@ -1154,36 +1127,15 @@ module Slo = Xguard_obs.Slo
 (* Run one stress workload with the telemetry stack armed and judge the
    given objectives against exactly what the metrics layer recorded. *)
 let e11_measure ~ops ~seed ~objectives cfg =
-  let sr = Spans.create () in
-  let mr = Metrics.create () in
-  Spans.with_armed sr (fun () ->
-      Metrics.with_armed mr (fun () ->
-          let sys = System.build cfg in
-          let ports =
-            Array.append sys.System.cpu_ports sys.System.accel_ports
-          in
-          let o =
-            Random_tester.run ~engine:sys.System.engine
-              ~rng:(Rng.create ~seed:(seed * 7 + 1))
-              ~ports
-              ~addresses:(Array.init 6 Addr.block)
-              ~ops_per_core:ops ()
-          in
-          let now = Engine.now sys.System.engine in
-          Array.iter
-            (fun (g : System.guard) ->
-              let guard =
-                if g.System.g_id = "" then "xg" else "xg." ^ g.System.g_id
-              in
-              Metrics.note_avail ~guard
-                ~down:(Xg.Xg_core.down_cycles g.System.g_core ~now)
-                ~now)
-            sys.System.guards;
-          ignore o));
-  let msum = Metrics.summary ~label:(Config.name cfg) mr in
+  let r =
+    Campaign.run_job
+      { Campaign.no_observers with metrics = true }
+      { Campaign.cfg; seed; label = Config.name cfg; work = Campaign.Stress_run { ops } }
+  in
+  let msum = r.Campaign.totals.Campaign.metrics in
   let verdicts =
     Slo.evaluate objectives
-      ~span_cells:(Spans.Summary.cells (Spans.summary sr))
+      ~span_cells:(Spans.Summary.cells r.Campaign.totals.Campaign.spans)
       ~guard_hists:(Metrics.Summary.hists msum)
       ~avail:(Metrics.Summary.avails msum)
   in
@@ -1224,7 +1176,6 @@ let e11_slo ?(quick = false) () =
   in
   List.iter
     (fun cfg ->
-      let cfg = Config.stress_sized { cfg with Config.seed = 7 } in
       let samples, verdicts = e11_measure ~ops ~seed:7 ~objectives cfg in
       Table.add_row sweep
         [
@@ -1254,49 +1205,47 @@ let e11_slo ?(quick = false) () =
     | Error e -> invalid_arg e
   in
   let cfg = { (Config.of_topology topo) with Config.seed = 11 } in
-  let sr = Spans.create () in
-  let mr = Metrics.create () in
-  Spans.with_armed sr (fun () ->
-      Metrics.with_armed mr (fun () ->
-          (* Guard 0's accelerator stack stays unattached; a scripted tarpit
-             endpoint sits on its link instead. *)
-          let sys = System.build ~attach_accel:false cfg in
-          let link = Option.get sys.System.accel_link in
-          let self = Option.get sys.System.accel_node_on_link in
-          let xg = Option.get sys.System.xg_node_on_link in
-          let send msg =
-            Xgi.Link.send link ~src:self ~dst:xg ~size:(Xgi.msg_size msg) msg
-          in
-          Xgi.Link.register link self (fun ~src:_ msg ->
-              match msg with
-              | Xgi.To_accel_req { addr; req = Xgi.Invalidate } ->
-                  Engine.schedule sys.System.engine ~delay:tarpit (fun () ->
-                      send (Xgi.To_xg_resp { addr; resp = Xgi.Inv_ack });
-                      (* Re-own the block so the next host touch invalidates
-                         the tarpit again. *)
-                      send (Xgi.To_xg_req { addr; req = Xgi.Get_m }))
-              | _ -> ());
-          (* Seed the tarpit's working set: it grabs half the tester pool. *)
-          for b = 0 to 2 do
-            send (Xgi.To_xg_req { addr = Addr.block b; req = Xgi.Get_m })
-          done;
-          let neighbor_ports =
-            Array.concat
-              (List.tl
-                 (List.map
-                    (fun g -> g.System.g_ports)
-                    (Array.to_list sys.System.guards)))
-          in
-          let ports = Array.append sys.System.cpu_ports neighbor_ports in
-          let o =
-            Random_tester.run ~engine:sys.System.engine
-              ~rng:(Rng.create ~seed:(11 * 7 + 1))
-              ~ports
-              ~addresses:(Array.init 6 Addr.block)
-              ~ops_per_core:t_ops ()
-          in
-          ignore o));
-  let msum = Metrics.summary ~label:"tarpit topology" mr in
+  let (), seen =
+    Campaign.observe { Campaign.no_observers with metrics = true } ~label:"tarpit topology"
+      (fun () ->
+        (* Guard 0's accelerator stack stays unattached; a scripted tarpit
+           endpoint sits on its link instead. *)
+        let sys = System.build ~attach_accel:false cfg in
+        let link = Option.get sys.System.accel_link in
+        let self = Option.get sys.System.accel_node_on_link in
+        let xg = Option.get sys.System.xg_node_on_link in
+        let send msg =
+          Xgi.Link.send link ~src:self ~dst:xg ~size:(Xgi.msg_size msg) msg
+        in
+        Xgi.Link.register link self (fun ~src:_ msg ->
+            match msg with
+            | Xgi.To_accel_req { addr; req = Xgi.Invalidate } ->
+                Engine.schedule sys.System.engine ~delay:tarpit (fun () ->
+                    send (Xgi.To_xg_resp { addr; resp = Xgi.Inv_ack });
+                    (* Re-own the block so the next host touch invalidates
+                       the tarpit again. *)
+                    send (Xgi.To_xg_req { addr; req = Xgi.Get_m }))
+            | _ -> ());
+        (* Seed the tarpit's working set: it grabs half the tester pool. *)
+        for b = 0 to 2 do
+          send (Xgi.To_xg_req { addr = Addr.block b; req = Xgi.Get_m })
+        done;
+        let neighbor_ports =
+          Array.concat
+            (List.tl
+               (List.map
+                  (fun g -> g.System.g_ports)
+                  (Array.to_list sys.System.guards)))
+        in
+        let ports = Array.append sys.System.cpu_ports neighbor_ports in
+        ignore
+          (Random_tester.run ~engine:sys.System.engine
+             ~rng:(Rng.create ~seed:(11 * 7 + 1))
+             ~ports
+             ~addresses:(Array.init 6 Addr.block)
+             ~ops_per_core:t_ops ()))
+  in
+  let msum = seen.Campaign.metrics_summary in
   let verdicts =
     Slo.evaluate
       (parse (Printf.sprintf "inv.roundtrip:p99<=%d" inv_bound))

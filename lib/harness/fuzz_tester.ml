@@ -19,8 +19,7 @@ type outcome = {
   first_error_addr : int option;
   trace_tail : Trace.event list;
   trace_dropped : int;  (* ring-buffer events lost before [trace_tail] was cut *)
-  coverage_sets :
-    (string * Xguard_trace.Coverage.space * Xguard_stats.Counter.Group.t list) list;
+  coverage_sets : System.coverage_sets;
   link_faults : (string * int) list;
   quarantined : bool;
   rejoins : int;
@@ -42,25 +41,6 @@ let merge a b =
         if n > 0 then Some (kind, n) else None)
       Xg.Os_model.all_error_kinds
   in
-  let coverage_sets =
-    let groups_of name o =
-      List.concat_map (fun (n, _, gs) -> if n = name then gs else []) o.coverage_sets
-    in
-    List.map
-      (fun (name, space, _) -> (name, space, groups_of name a @ groups_of name b))
-      a.coverage_sets
-    @ List.filter
-        (fun (name, _, _) -> not (List.exists (fun (n, _, _) -> n = name) a.coverage_sets))
-        b.coverage_sets
-  in
-  let link_faults =
-    (* Keys in [a]'s order, then [b]-only keys, so merged reports are stable
-       whichever runs contributed. *)
-    List.map
-      (fun (k, n) -> (k, n + Option.value ~default:0 (List.assoc_opt k b.link_faults)))
-      a.link_faults
-    @ List.filter (fun (k, _) -> not (List.mem_assoc k a.link_faults)) b.link_faults
-  in
   {
     chaos_messages = a.chaos_messages + b.chaos_messages;
     invalidations_ignored = a.invalidations_ignored + b.invalidations_ignored;
@@ -75,8 +55,8 @@ let merge a b =
     first_error_addr = first_some a.first_error_addr b.first_error_addr;
     trace_tail = (if a.trace_tail <> [] then a.trace_tail else b.trace_tail);
     trace_dropped = (if a.trace_tail <> [] then a.trace_dropped else b.trace_dropped);
-    coverage_sets;
-    link_faults;
+    coverage_sets = System.merge_coverage_sets a.coverage_sets b.coverage_sets;
+    link_faults = System.merge_link_stats a.link_faults b.link_faults;
     quarantined = a.quarantined || b.quarantined;
     rejoins = a.rejoins + b.rejoins;
     permakilled = a.permakilled || b.permakilled;

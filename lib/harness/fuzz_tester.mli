@@ -42,8 +42,7 @@ type outcome = {
   trace_dropped : int;
       (** events the trace ring had already overwritten when [trace_tail] was
           cut — forensics readers should know the trail is incomplete *)
-  coverage_sets :
-    (string * Xguard_trace.Coverage.space * Xguard_stats.Counter.Group.t list) list;
+  coverage_sets : System.coverage_sets;
       (** the system's transition-coverage groups, for cross-run merging *)
   link_faults : (string * int) list;
       (** reliability-layer counters and injected-fault tallies for the XG

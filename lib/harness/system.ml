@@ -25,6 +25,9 @@ type guard = {
   g_perms : Xg.Perm_table.t;
 }
 
+type coverage_sets =
+  (string * Xguard_trace.Coverage.space * Xguard_stats.Counter.Group.t list) list
+
 type t = {
   config : Config.t;
   engine : Engine.t;
@@ -47,9 +50,7 @@ type t = {
   xg_port_to_host_bytes : unit -> int;
   link_bytes : unit -> int;
   coverage_groups : unit -> (string * Xguard_stats.Counter.Group.t) list;
-  coverage_sets :
-    unit ->
-    (string * Xguard_trace.Coverage.space * Xguard_stats.Counter.Group.t list) list;
+  coverage_sets : unit -> coverage_sets;
   stats_groups : unit -> (string * Xguard_stats.Counter.Group.t) list;
   set_host_monitor : (src:string -> dst:string -> addr:int -> text:string -> unit) -> unit;
   link_stats : unit -> (string * int) list;
@@ -67,6 +68,17 @@ let coverage_reports t =
   List.map
     (fun (_, space, groups) -> Xguard_trace.Coverage.analyze space groups)
     (t.coverage_sets ())
+
+let merge_coverage_sets a b =
+  let groups_of name sets =
+    List.concat_map (fun (n, _, gs) -> if n = name then gs else []) sets
+  in
+  List.map (fun (name, space, _) -> (name, space, groups_of name a @ groups_of name b)) a
+  @ List.filter (fun (name, _, _) -> not (List.exists (fun (n, _, _) -> n = name) a)) b
+
+let merge_link_stats a b =
+  List.map (fun (k, n) -> (k, n + Option.value ~default:0 (List.assoc_opt k b))) a
+  @ List.filter (fun (k, _) -> not (List.mem_assoc k a)) b
 
 (* Topology guards suffix every name with the spec id; the legacy guard
    ([id = ""]) keeps the historical names so single-guard systems stay

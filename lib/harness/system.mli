@@ -35,6 +35,9 @@ type guard = {
   g_perms : Xguard_xg.Perm_table.t;
 }
 
+type coverage_sets =
+  (string * Xguard_trace.Coverage.space * Xguard_stats.Counter.Group.t list) list
+
 type t = {
   config : Config.t;
   engine : Xguard_sim.Engine.t;
@@ -64,9 +67,7 @@ type t = {
           (0 without XG) *)
   link_bytes : unit -> int;
   coverage_groups : unit -> (string * Xguard_stats.Counter.Group.t) list;
-  coverage_sets :
-    unit ->
-    (string * Xguard_trace.Coverage.space * Xguard_stats.Counter.Group.t list) list;
+  coverage_sets : unit -> coverage_sets;
       (** per-controller-kind transition spaces with every live coverage group
           of that kind, ready for {!Xguard_trace.Coverage.analyze} (or
           {!coverage_reports}); merge across systems/runs by matching the
@@ -118,6 +119,14 @@ type t = {
 
 val coverage_reports : t -> Xguard_trace.Coverage.report list
 (** One report per entry of [coverage_sets], in order. *)
+
+val merge_coverage_sets : coverage_sets -> coverage_sets -> coverage_sets
+(** Two runs' [coverage_sets]: [a]'s names in order, then [b]-only names;
+    the groups of one name concatenate.  Associative. *)
+
+val merge_link_stats : (string * int) list -> (string * int) list -> (string * int) list
+(** Two runs' [link_stats] summed: [a]'s keys in order, then [b]-only keys,
+    so merged reports are stable whichever runs contributed.  Associative. *)
 
 val sampler_period : int
 (** Gauge-sampling period (cycles) of the span and metrics samplers. *)

@@ -10,6 +10,8 @@ module Campaign = Xguard_harness.Campaign
 module Config = Xguard_harness.Config
 module Tester = Xguard_harness.Random_tester
 module Fuzz = Xguard_harness.Fuzz_tester
+module System = Xguard_harness.System
+module Spans = Xguard_obs.Spans
 
 let config_named name =
   List.find (fun c -> Config.name c = name) (Config.all_configurations ())
@@ -208,12 +210,47 @@ let test_campaign_both_j_invariance () =
   let configs = [ config_named "hammer/xg-trans-1lvl" ] in
   let render w =
     Campaign.render
-      (Campaign.run ~workers:w ~collect_coverage:true ~stress_ops:60
+      (Campaign.run ~workers:w ~observers:{ Campaign.no_observers with coverage = true } ~stress_ops:60
          ~fuzz_cpu_ops:60 ~base_seed:7 Campaign.Both ~configs ~seeds:1 ())
   in
   let r1 = render 1 in
   Alcotest.(check string) "-j 2 output equals -j 1" r1 (render 2);
   Alcotest.(check string) "-j 4 output equals -j 1" r1 (render 4)
+
+(* A campaign stress job is the run `xguard stress -c CFG --seed S --seeds 1`
+   makes, spelled out here from the primitives: the stress-sized build, the
+   tester over 6 blocks with RNG seed [S * 7 + 1], spans armed around it.
+   So the seed in a campaign trail header replays the failing job. *)
+let test_campaign_job_replays_as_stress () =
+  let cfg = config_named "hammer/xg-full-1lvl" in
+  let ops = 200 in
+  let c =
+    Campaign.run
+      ~observers:{ Campaign.no_observers with spans = true }
+      ~stress_ops:ops Campaign.Stress ~configs:[ cfg ] ~seeds:1 ()
+  in
+  let seed = Pool.Seed.derive ~base:42 ~job:0 in
+  let sr = Spans.create () in
+  let o =
+    Spans.with_armed sr (fun () ->
+        let sys = System.build (Config.stress_sized { cfg with Config.seed }) in
+        Tester.run ~engine:sys.System.engine
+          ~rng:(Xguard_sim.Rng.create ~seed:((seed * 7) + 1))
+          ~ports:(Array.append sys.System.cpu_ports sys.System.accel_ports)
+          ~addresses:(Array.init 6 Addr.block) ~ops_per_core:ops ())
+  in
+  let row = List.hd (Table.rows (List.hd c.Campaign.tables)) in
+  Alcotest.(check (list string))
+    "ops, data errors, deadlocks"
+    [ string_of_int o.Tester.ops_completed; string_of_int o.Tester.data_errors;
+      (if o.Tester.deadlocked then "1" else "0") ]
+    (List.filteri (fun i _ -> i >= 2 && i <= 4) row);
+  let table sum =
+    Option.map Table.to_string (Spans.Summary.attribution_table sum)
+  in
+  Alcotest.(check (option string))
+    "span summary" (table (Spans.summary sr))
+    (table c.Campaign.totals.Campaign.spans)
 
 let tests =
   [
@@ -233,5 +270,7 @@ let tests =
           test_campaign_stress_j_invariance;
         Alcotest.test_case "campaign both -j invariance" `Slow
           test_campaign_both_j_invariance;
+        Alcotest.test_case "campaign job replays as stress" `Quick
+          test_campaign_job_replays_as_stress;
       ] );
   ]

@@ -344,7 +344,7 @@ let test_zero_faults_identical_campaign_render () =
   let configs = [ List.nth identity_configs 0; List.nth identity_configs 1 ] in
   let render configs =
     Campaign.render
-      (Campaign.run ~collect_coverage:true ~stress_ops:120 ~fuzz_cpu_ops:80
+      (Campaign.run ~observers:{ Campaign.no_observers with coverage = true } ~stress_ops:120 ~fuzz_cpu_ops:80
          Campaign.Both ~configs ~seeds:2 ())
   in
   check_string "campaign render byte-identical"
@@ -370,7 +370,7 @@ let test_drop5_campaign_all_configs_safe () =
   let result =
     Campaign.run ~stress_ops:150 ~fuzz_cpu_ops:80 Campaign.Both ~configs ~seeds:2 ()
   in
-  check_int "no crashed jobs" 0 result.Campaign.crashes;
+  check_int "no crashed jobs" 0 result.Campaign.totals.Campaign.crashes;
   check_bool "zero safety violations / deadlocks at drop=0.05" true
     (Campaign.passed result)
 

@@ -146,20 +146,45 @@ let test_put_fwd_race_nacked () =
   check_bool "race resolved one way or the other" true (nacks = 1 || completed_wb = 1);
   check_int "final value readable" 10 (do_load sys 0 a0)
 
+(* A Get_s_only is the non-upgradable read the guard issues for a read-only
+   page: even with no other sharer the requestor must end in S, never E.
+   Through a whole Hammer + full-state guard system: the read-only block
+   crosses the host as GetS_only and unblocks the directory non-exclusively,
+   and the guard tracks the accelerator in S.  A writable block on another
+   page of the same system is the contrast: plain GetS, granted E. *)
 let test_gets_only_never_grants_exclusive () =
-  let sys = make () in
-  (* Drive a Get_s_only through the wire by... the CPU never issues it, so
-     send it directly from a raw node, mimicking the XG port's request. *)
-  let engine = Sys_b.engine sys in
-  let got = ref None in
-  let reqnode =
-    Sys_b.add_cache_node sys "probe" ~count_peers:(fun _ -> ())
+  let module System = Xguard_harness.System in
+  let module Config = Xguard_harness.Config in
+  let sys =
+    System.build (Config.make Config.Hammer (Config.Xg_one_level Config.Full_state))
   in
-  (* Re-finalize is not allowed; instead this test builds its own census. *)
-  ignore reqnode;
-  ignore engine;
-  ignore got;
-  ()
+  let ro = Addr.block 0 and rw = Addr.block Addr.blocks_per_page in
+  Xguard_xg.Perm_table.set_block sys.System.perms ro Perm.Read_only;
+  let wire = ref [] in
+  sys.System.set_host_monitor (fun ~src:_ ~dst:_ ~addr ~text -> wire := (addr, text) :: !wire);
+  let load addr =
+    let got = ref false in
+    check_bool "load accepted" true
+      (sys.System.accel_ports.(0).Access.issue (Access.load addr) ~on_done:(fun _ ->
+           got := true));
+    ignore (Engine.run sys.System.engine);
+    check_bool "load completed" true !got
+  in
+  load ro;
+  load rw;
+  let sent addr name =
+    List.exists
+      (fun (a, text) -> a = Addr.to_int addr && String.starts_with ~prefix:(name ^ " ") text)
+      !wire
+  in
+  let core = Option.get sys.System.xg_core in
+  check_bool "read-only block asks GetS_only" true (sent ro "GetS_only");
+  check_bool "non-exclusive unblock" true (sent ro "Unblock");
+  check_bool "no exclusive unblock" false (sent ro "Unblock(excl)");
+  check_bool "accelerator holds S" true (Xguard_xg.Xg_core.accel_state core ro = `S);
+  check_bool "writable block asks GetS" true (sent rw "GetS");
+  check_bool "writable block unblocks exclusively" true (sent rw "Unblock(excl)");
+  check_bool "accelerator holds E" true (Xguard_xg.Xg_core.accel_state core rw = `E)
 
 let stat sys cpu name =
   Xguard_stats.Counter.Group.get (H.L1l2.stats (Sys_b.cpus sys).(cpu)) name
@@ -271,7 +296,8 @@ let tests =
           test_owner_store_from_o_invalidates_sharers;
         Alcotest.test_case "two-phase writeback" `Quick test_eviction_two_phase_writeback;
         Alcotest.test_case "Put/Fwd race" `Quick test_put_fwd_race_nacked;
-        Alcotest.test_case "(placeholder) GetS_only" `Quick test_gets_only_never_grants_exclusive;
+        Alcotest.test_case "GetS_only grants S, never E" `Quick
+          test_gets_only_never_grants_exclusive;
       ] );
     ( "hammer.wake",
       [

@@ -170,7 +170,7 @@ let test_topology_campaign_j_invariance () =
   let configs = [ Config.of_topology (parse mixed3) ] in
   let render w =
     Campaign.render
-      (Campaign.run ~workers:w ~collect_coverage:true ~stress_ops:60
+      (Campaign.run ~workers:w ~observers:{ Campaign.no_observers with coverage = true } ~stress_ops:60
          ~fuzz_cpu_ops:60 ~base_seed:13 Campaign.Both ~configs ~seeds:2 ())
   in
   let r1 = render 1 in

@@ -64,6 +64,32 @@ diff -u "$out/stress_j1.txt" "$out/stress_j3.txt" || {
 }
 echo "byte-identical across -j 1/3"
 
+echo "== fuzz CLI determinism: --seeds 4 under -j 1/2 =="
+dune exec bin/xguard_cli.exe -- fuzz -c hammer/xg-trans-1lvl --seeds 4 -j 1 \
+  > "$out/fuzz_j1.txt"
+dune exec bin/xguard_cli.exe -- fuzz -c hammer/xg-trans-1lvl --seeds 4 -j 2 \
+  > "$out/fuzz_j2.txt"
+diff -u "$out/fuzz_j1.txt" "$out/fuzz_j2.txt" || {
+  echo "FAIL: fuzz output differs between -j 1 and -j 2" >&2
+  exit 1
+}
+echo "byte-identical across -j 1/2"
+
+# Every failing seed's trail lands in --trace-out, in seed order: a link
+# killed at its 50th message fails all three seeds.
+echo "== stress --trace-out keeps every trail =="
+if dune exec bin/xguard_cli.exe -- stress -c hammer/xg-trans-1lvl --seeds 3 --ops 100 \
+  --fault-script kill:50 --trace-out "$out/trails.txt" > "$out/kill.txt"; then
+  echo "FAIL: stress with a killed link passed" >&2
+  exit 1
+fi
+seeds=$(grep '^-- seed ' "$out/trails.txt" | cut -d' ' -f3 | tr '\n' ' ')
+if [ "$seeds" != "42 43 44 " ]; then
+  echo "FAIL: --trace-out holds trails for seeds '$seeds', expected '42 43 44 '" >&2
+  exit 1
+fi
+echo "3 trails in seed order"
+
 # The container may not carry odoc; the doc build is a smoke test, not a gate,
 # when the tool is absent.
 echo "== dune build @doc =="

@@ -11,29 +11,22 @@
 
    Usage: dune exec tools/soak.exe [seeds] [ops_per_core] [random|recovery|all] *)
 
-module Rng = Xguard_sim.Rng
 module Config = Xguard_harness.Config
 module System = Xguard_harness.System
 module Tester = Xguard_harness.Random_tester
+module Campaign = Xguard_harness.Campaign
 module Fuzz = Xguard_harness.Fuzz_tester
 module Network = Xguard_network.Network
 module Fault = Network.Fault
 module Xg = Xguard_xg
-open Xguard_proto
 
 let random_soak ~seeds ~ops ~failures ~runs =
   for seed = 1 to seeds do
     List.iter
       (fun cfg ->
-        let cfg = Config.stress_sized { cfg with Config.seed } in
         incr runs;
         try
-          let sys = System.build cfg in
-          let ports = Array.append sys.System.cpu_ports sys.System.accel_ports in
-          let o =
-            Tester.run ~engine:sys.System.engine ~rng:(Rng.create ~seed:(seed * 7 + 1)) ~ports
-              ~addresses:(Array.init 6 Addr.block) ~ops_per_core:ops ()
-          in
+          let sys, o = Campaign.stress_system ~ops ~seed cfg in
           let viol = Xg.Os_model.error_count sys.System.os in
           if o.Tester.data_errors > 0 || o.Tester.deadlocked || viol > 0 then begin
             incr failures;
